@@ -13,18 +13,23 @@ mean curvature as eps shrinks. Volumetric varifolds are evaluated through
 their midpoint subcell quadrature, refined automatically when the cell size
 is not small compared to eps.
 
-Evaluation at many points uses a uniform spatial hash with bucket size eps,
-so only atoms inside the kernel support are touched. Neighbor lists are
-assembled in sorted atom order, which keeps results independent of probe
-ordering.
+Evaluation at many points takes exact neighbour lists (atoms within eps of
+each probe) from a k-d tree of the atoms, in chunks of at most
+``_PAIR_BUDGET`` probe-atom pairs, so kernels are evaluated only inside
+their support and memory stays bounded. Each probe's list holds sorted atom
+indices, which fixes its summation order, so results do not depend on the
+order of the probes or on how they are chunked.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.spatial import cKDTree
 
 from .varifold import VolumetricVarifold
 
@@ -39,8 +44,8 @@ __all__ = [
     "write_curvature_csv",
 ]
 
-# Largest probe-block x neighbor-count product handled in one broadcast.
-_BLOCK_BUDGET = 4_000_000
+# Most probe-atom pairs held at once; bounds the per-chunk pair arrays.
+_PAIR_BUDGET = 32_768
 
 
 class DenominatorTooSmall(ValueError):
@@ -102,112 +107,100 @@ class CurvatureField:
 
 
 def _atom_cloud(varifold, query):
-    """Represent the varifold as a (positions, projectors, masses) cloud.
+    """The (positions, projectors, masses, k-d tree) the sums run over.
 
     Volumetric varifolds are expanded into their subcell quadrature nodes,
     with enough subdivisions that subcells stay below eps / 4.
     """
-    if not isinstance(varifold, VolumetricVarifold):
-        return varifold.positions, varifold.projectors, varifold.masses
-    s = max(
-        2,
-        varifold.subdivisions,
-        math.ceil(4.0 * varifold.h / query.epsilon),
-    )
-    key = ("atom_cloud", s)
+    volumetric = isinstance(varifold, VolumetricVarifold)
+    if volumetric:
+        s = max(
+            2,
+            varifold.subdivisions,
+            math.ceil(4.0 * varifold.h / query.epsilon),
+        )
+        key = ("atom_cloud", s)
+    else:
+        key = ("atom_cloud",)
     if key not in varifold._caches:
-        pts, owner = varifold.quadrature_points(s)
-        masses = np.repeat(varifold.masses / s**varifold.n, s**varifold.n)
-        masses.flags.writeable = False
-        varifold._caches[key] = (pts, owner, masses)
-    pts, owner, masses = varifold._caches[key]
-    return pts, varifold.projectors[owner], masses
-
-
-def _bucket_table(positions, epsilon):
-    """Uniform hash: map bucket key -> sorted indices of atoms inside."""
-    origin = positions.min(axis=0)
-    keys = np.floor((positions - origin) / epsilon).astype(np.int64)
-    order = np.lexsort(keys.T[::-1])
-    sorted_keys = keys[order]
-    starts = np.flatnonzero(
-        np.r_[True, np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)]
-    )
-    ends = np.r_[starts[1:], len(order)]
-    table = {}
-    for a, b in zip(starts, ends):
-        idx = np.sort(order[a:b])
-        idx.flags.writeable = False
-        table[tuple(sorted_keys[a])] = idx
-    return origin, table
-
-
-def _hashed_atoms(varifold, query):
-    key = ("support_hash", query.epsilon)
-    if key not in varifold._caches:
-        pts, proj, masses = _atom_cloud(varifold, query)
-        origin, table = _bucket_table(pts, query.epsilon)
-        varifold._caches[key] = (pts, proj, masses, origin, table)
+        if volumetric:
+            pts, owner = varifold.quadrature_points(s)
+            proj = varifold.projectors[owner]
+            masses = np.repeat(varifold.masses / s**varifold.n, s**varifold.n)
+            for arr in (proj, masses):
+                arr.flags.writeable = False
+        else:
+            pts, proj, masses = (
+                varifold.positions, varifold.projectors, varifold.masses
+            )
+        varifold._caches[key] = (pts, proj, masses, cKDTree(pts))
     return varifold._caches[key]
 
 
-def _neighbor_offsets(n):
-    grids = np.meshgrid(*([np.arange(-1, 2)] * n), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1)
+def _chunk_bounds(counts):
+    """Cut probes into runs of at most _PAIR_BUDGET pairs (or one probe)."""
+    ends = np.cumsum(counts)
+    a = 0
+    while a < len(counts):
+        before = ends[a - 1] if a else 0
+        b = int(np.searchsorted(ends, before + _PAIR_BUDGET, side="right"))
+        b = max(b, a + 1)
+        yield a, b
+        a = b
+
+
+def _chunk_sums(cloud, query, points, counts):
+    """First variation and mass at probes with ``counts`` neighbours each.
+
+    The probe-atom pairs are held as CSR rows with sorted atom columns, so
+    every probe sums its pairs in the same order whatever chunk it is in.
+    """
+    pts, proj, masses, tree = cloud
+    n = pts.shape[1]
+    eps = query.epsilon
+    pair = query.pair
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    cols = np.fromiter(
+        itertools.chain.from_iterable(
+            tree.query_ball_point(points, eps, return_sorted=True)
+        ),
+        dtype=np.intp,
+        count=indptr[-1],
+    )
+    rows = np.repeat(np.arange(len(points)), counts)
+    diff = pts[cols]
+    diff -= points[rows]
+    r = np.sqrt(np.einsum("pi,pi->p", diff, diff))
+    u = r / eps
+    den = np.bincount(
+        rows, weights=masses[cols] * pair.xi(u), minlength=len(points)
+    ) * eps ** (-n)
+    # grad rho_eps(w) = eps^-(n+1) rho'(|w|/eps) w/|w|, zero at w=0
+    w = masses[cols] * pair.rho.derivative(u) / np.maximum(r, 1e-300)
+    w *= eps ** (-(n + 1))
+    num = np.zeros((len(points), n))
+    for k in range(n):
+        c = csr_matrix(
+            (w * diff[:, k], cols, indptr), shape=(len(points), len(pts))
+        )
+        num += c @ proj[:, :, k]
+    return num, den
 
 
 def _pair_sums(varifold, query, points):
     """Regularized first variation and mass at each point: ((P, n), (P,))."""
-    pts, proj, masses, origin, table = _hashed_atoms(varifold, query)
+    cloud = _atom_cloud(varifold, query)
+    tree = cloud[-1]
     points = np.ascontiguousarray(points, dtype=float)
-    n = pts.shape[1]
-    if points.shape[1] != n:
-        raise ValueError(f"query points must have dimension {n}")
-    eps = query.epsilon
-    pair = query.pair
-    inv_eps_n = eps ** (-n)
-
-    num = np.zeros((len(points), n))
+    if points.shape[1] != tree.m:
+        raise ValueError(f"query points must have dimension {tree.m}")
+    num = np.zeros((len(points), tree.m))
     den = np.zeros(len(points))
-
-    probe_keys = np.floor((points - origin) / eps).astype(np.int64)
-    order = np.lexsort(probe_keys.T[::-1])
-    sorted_keys = probe_keys[order]
-    starts = np.flatnonzero(
-        np.r_[True, np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)]
-    )
-    ends = np.r_[starts[1:], len(order)]
-    offsets = _neighbor_offsets(n)
-
-    for a, b in zip(starts, ends):
-        base = sorted_keys[a]
-        lists = [
-            table[k]
-            for k in map(tuple, base + offsets)
-            if k in table
-        ]
-        if not lists:
-            continue
-        sel = np.sort(np.concatenate(lists))
-        probe_rows = order[a:b]
-        block = max(1, _BLOCK_BUDGET // max(1, len(sel)))
-        a_pts = pts[sel]
-        a_proj = proj[sel]
-        a_mass = masses[sel]
-        for c in range(0, len(probe_rows), block):
-            rows = probe_rows[c:c + block]
-            diff = a_pts[None, :, :] - points[rows][:, None, :]
-            r = np.sqrt(np.einsum("gmi,gmi->gm", diff, diff))
-            u = r / eps
-            den[rows] = np.einsum(
-                "m,gm->g", a_mass, pair.xi(u)
-            ) * inv_eps_n
-            # grad rho_eps(w) = eps^-(n+1) rho'(|w|/eps) w/|w|, zero at w=0
-            coef = pair.rho.derivative(u) / np.maximum(r, 1e-300)
-            coef *= eps ** (-(n + 1))
-            num[rows] = np.einsum(
-                "gm,mij,gmj->gi", a_mass * coef, a_proj, diff
-            )
+    counts = tree.query_ball_point(points, query.epsilon, return_length=True)
+    for a, b in _chunk_bounds(counts):
+        num[a:b], den[a:b] = _chunk_sums(
+            cloud, query, points[a:b], counts[a:b]
+        )
     return num, den
 
 

@@ -245,7 +245,6 @@ class VolumetricVarifold:
         self.projectors = projectors
         self.d = d
         self.subdivisions = subdivisions
-        self._quad_cache = {}
         self._caches = {}
 
     @property
@@ -271,7 +270,8 @@ class VolumetricVarifold:
         s = self.subdivisions if subdivisions is None else int(subdivisions)
         if s < 1:
             raise ValueError("subdivisions must be >= 1")
-        if s not in self._quad_cache:
+        key = ("quadrature", s)
+        if key not in self._caches:
             n = self.n
             edge = self.mesh.edge
             offs_1d = (np.arange(s) + 0.5) * (edge / s)
@@ -283,8 +283,8 @@ class VolumetricVarifold:
             pts = pts.reshape(-1, n)
             pts.flags.writeable = False
             owner.flags.writeable = False
-            self._quad_cache[s] = (pts, owner)
-        return self._quad_cache[s]
+            self._caches[key] = (pts, owner)
+        return self._caches[key]
 
     def mass_total(self):
         return float(np.sum(self.masses))

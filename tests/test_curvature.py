@@ -1,8 +1,10 @@
+import math
 import time
 
 import numpy as np
 import pytest
 
+from varmcf import curvature
 from varmcf.curvature import (
     CurvatureQuery,
     DenominatorTooSmall,
@@ -19,7 +21,11 @@ from varmcf.kernels import (
     default_kernel_pair,
     natural_pair_from_rho,
 )
-from varmcf.varifold import PointCloudVarifold, SampledManifoldVarifold
+from varmcf.varifold import (
+    PointCloudVarifold,
+    SampledManifoldVarifold,
+    VolumetricVarifold,
+)
 
 
 def _brute_force(varifold, pair, eps, points):
@@ -38,6 +44,116 @@ def _brute_force(varifold, pair, eps, points):
             "m,mij,mj->i", varifold.masses * coef, varifold.projectors, w
         )
     return num, den
+
+
+def _expanded_cloud(vol, eps):
+    """A volumetric varifold's subcell quadrature as a point cloud.
+
+    Uses the documented rule s = max(2, subdivisions, ceil(4 h / eps)) that
+    keeps subcells below eps / 4.
+    """
+    s = max(2, vol.subdivisions, math.ceil(4.0 * vol.h / eps))
+    pts, owner = vol.quadrature_points(s)
+    masses = np.repeat(vol.masses / s**vol.n, s**vol.n)
+    return PointCloudVarifold(pts, vol.projectors[owner], masses, dim=vol.d)
+
+
+def _random_plane_cloud(rng, count):
+    """Atoms on a dyadic grid in [-1, 1]^3 with random tangent 2-planes."""
+    positions = rng.integers(-64, 65, size=(count, 3)) / 64.0
+    normals = rng.standard_normal((count, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    projectors = np.eye(3) - normals[:, :, None] * normals[:, None, :]
+    masses = rng.uniform(0.5, 1.5, size=count)
+    return PointCloudVarifold(positions, projectors, masses, dim=2)
+
+
+def _dyadic_circle_cells():
+    """Volumetric circle on a mesh whose nodes are exact binary fractions."""
+    sample = Circle(1.0).sample(4096)
+    mesh = Mesh(np.array([-1.5, -1.5]), np.array([1.5, 1.5]), 0.125)
+    return discretize(sample, mesh)
+
+
+def _assert_matches_oracle(varifold, cloud, pair, eps, probes):
+    query = CurvatureQuery(pair, eps)
+    num = regularized_first_variation(varifold, query, probes)
+    den = regularized_mass(varifold, query, probes)
+    num_ref, den_ref = _brute_force(cloud, pair, eps, probes)
+    np.testing.assert_allclose(num, num_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(den, den_ref, rtol=1e-12, atol=1e-12)
+
+
+def test_sums_match_brute_force_in_three_dimensions():
+    rng = np.random.default_rng(31)
+    v = _random_plane_cloud(rng, 400)
+    eps = 0.25
+    # Probes sitting on atoms, at exactly eps from an atom (the inclusive
+    # edge of the neighbour search), and at random.
+    on_atoms = v.positions[:5]
+    at_edge = v.positions[5:10] - np.array([eps, 0.0, 0.0])
+    probes = np.vstack([on_atoms, at_edge, rng.uniform(-1, 1, (30, 3))])
+    dist = np.linalg.norm(v.positions[None] - probes[:, None], axis=2)
+    assert np.sum(dist == eps) >= 5
+    assert np.sum(dist == 0.0) >= 5
+    _assert_matches_oracle(v, v, default_kernel_pair(3, 2), eps, probes)
+
+
+def test_volumetric_sums_match_brute_force_on_expanded_cloud():
+    vol = _dyadic_circle_cells()
+    eps = 0.5
+    cloud = _expanded_cloud(vol, eps)
+    nodes = cloud.positions[:: len(cloud) // 7][:7]
+    probes = np.vstack([
+        nodes,
+        nodes - np.array([eps, 0.0]),
+        Circle(1.0).sample(16).positions,
+    ])
+    dist = np.linalg.norm(cloud.positions[None] - probes[:, None], axis=2)
+    assert np.sum(dist == eps) >= 7
+    assert np.sum(dist == 0.0) >= 7
+    _assert_matches_oracle(vol, cloud, default_kernel_pair(2, 1), eps, probes)
+
+
+def _sphere_case():
+    probes = np.vstack([
+        Sphere(1.0).sample(8).positions[::4], [[3.0, 3.0, 3.0]]
+    ])
+    sphere = SampledManifoldVarifold.from_shape(Sphere(1.0), 32)
+    return sphere, default_kernel_pair(3, 2), 0.3, probes
+
+
+def _volumetric_circle_case():
+    probes = np.vstack([Circle(1.0).sample(24).positions, [[0.0, 0.0]]])
+    return _dyadic_circle_cells(), default_kernel_pair(2, 1), 0.2, probes
+
+
+@pytest.mark.parametrize("make_case", [_sphere_case, _volumetric_circle_case])
+def test_chunking_does_not_change_sums(monkeypatch, make_case):
+    varifold, pair, eps, probes = make_case()
+    query = CurvatureQuery(pair, eps)
+    cloud = varifold
+    if isinstance(varifold, VolumetricVarifold):
+        cloud = _expanded_cloud(varifold, eps)
+    dist = np.linalg.norm(cloud.positions[None] - probes[:, None], axis=2)
+    neighbours = np.sum(dist <= eps, axis=1)
+    # The last probe has no atom in reach; every other probe has more
+    # neighbours than a budget of 1, and a budget of 100 packs a few probes
+    # into each chunk.
+    assert neighbours[-1] == 0
+    assert neighbours[:-1].min() > 1
+    fields = []
+    for budget in (1, 100, 10**9):
+        monkeypatch.setattr(curvature, "_PAIR_BUDGET", budget)
+        fields.append(curvature_field(varifold, query, probes))
+    ref = fields[-1]
+    assert list(ref.ok) == [True] * (len(probes) - 1) + [False]
+    assert np.all(np.isnan(ref.values[-1]))
+    assert ref.denominators[-1] == 0.0
+    for field in fields[:-1]:
+        assert np.array_equal(field.values, ref.values, equal_nan=True)
+        assert np.array_equal(field.denominators, ref.denominators)
+        assert np.array_equal(field.ok, ref.ok)
 
 
 def test_circle_curvature_close_to_analytic():
