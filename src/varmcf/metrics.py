@@ -5,10 +5,15 @@ The bounded-Lipschitz (flat) distance between finite measures mu and nu is
     sup { integral of phi d(mu - nu) : sup|phi| + lip(phi) <= 1 }.
 
 For atomic measures the supremum is attained by a function defined on the
-union support, so it is an exact linear program over the atom values, one
-box constraint per atom and one slope constraint per atom pair. No pair is
-pruned: dropping constraints between distant atoms changes the optimum
-(two unit atoms at distance 3 have distance 6/5, not 2).
+union support, so it is an exact linear program over the atom values, with
+one box constraint per atom. Of the slope constraints only those running
+from an atom where mu - nu is positive to one where it is negative are kept:
+by Kantorovich-Rubinstein duality the dual of the program transports the
+positive part of mu - nu onto the negative part with a ground slack, and by
+the triangle inequality an optimal plan never routes mass through a third
+atom, so no other slope constraint can be active. Pruning by distance
+instead is invalid: dropping constraints between distant atoms changes the
+optimum (two unit atoms at distance 3 have distance 6/5, not 2).
 """
 
 from __future__ import annotations
@@ -26,6 +31,12 @@ __all__ = [
     "ahlfors_estimate",
     "ahlfors_scan",
 ]
+
+# Largest number of slope rows (positive x negative atoms) the distance LP
+# may hold. Peak memory grows by about 1.6 KiB per slope row (HiGHS through
+# scipy 1.17.1 on x86-64, 40,000 to 360,000 rows), so the cap keeps one solve
+# near 1.6 GiB.
+MAX_SLOPE_ROWS = 1_000_000
 
 
 class AtomicMeasure:
@@ -107,8 +118,18 @@ def bounded_lipschitz_distance(mu, nu):
     """Exact bounded-Lipschitz distance between two atomic measures.
 
     Solves the defining linear program on the union support with the HiGHS
-    solver; variables are the test-function values plus its sup norm and
-    Lipschitz constant.
+    solver. Its variables are the test-function values phi, their sup bound
+    a and their Lipschitz bound L; its rows are |phi_i| <= a for every atom,
+    a + L <= 1, and phi_p - phi_q <= L |x_p - x_q| for every atom p where
+    mu - nu is positive and q where it is negative. No other slope row can
+    bind (see the module docstring): the clipped McShane extension
+    max(-a, min(a, min_q (phi_q + L |x - x_q|))) of a solution satisfies
+    every slope row and is at least phi on the positive atoms and at most
+    phi on the negative ones. Pairs may not be pruned by distance: two unit
+    atoms at distance 3 are at BL distance 6/5, not 2.
+
+    Raises ValueError when the program would need more than
+    ``MAX_SLOPE_ROWS`` slope rows, before any of them is allocated.
     """
     mu = atomize(mu)
     nu = atomize(nu)
@@ -118,39 +139,43 @@ def bounded_lipschitz_distance(mu, nu):
     k = len(pts)
     if k == 0 or np.all(c == 0):
         return 0.0
+    pos = np.flatnonzero(c > 0)
+    neg = np.flatnonzero(c < 0)
+    if len(pos) * len(neg) > MAX_SLOPE_ROWS:
+        raise ValueError(
+            f"distance LP needs {len(pos)} positive x {len(neg)} negative "
+            f"atoms = {len(pos) * len(neg)} slope rows, over the cap of "
+            f"MAX_SLOPE_ROWS = {MAX_SLOPE_ROWS}"
+        )
 
-    # variables: phi_1..phi_k, a (sup bound), L (lipschitz bound)
-    rows, cols, vals = [], [], []
-    rhs = []
-
-    def add_row(entries, b):
-        r = len(rhs)
-        for col, val in entries:
-            rows.append(r)
-            cols.append(col)
-            vals.append(val)
-        rhs.append(b)
-
-    for i in range(k):
-        add_row([(i, 1.0), (k, -1.0)], 0.0)   # phi_i <= a
-        add_row([(i, -1.0), (k, -1.0)], 0.0)  # -phi_i <= a
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    iu, ju = np.triu_indices(k, 1)
-    for i, j, d in zip(iu, ju, dist[iu, ju]):
-        add_row([(int(i), 1.0), (int(j), -1.0), (k + 1, -d)], 0.0)
-        add_row([(int(i), -1.0), (int(j), 1.0), (k + 1, -d)], 0.0)
-    add_row([(k, 1.0), (k + 1, 1.0)], 1.0)    # a + L <= 1
-
-    a_ub = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(len(rhs), k + 2)
+    # variables: phi_1..phi_k, a (sup bound), L (lipschitz bound); rows:
+    # phi_i - a <= 0, -phi_i - a <= 0, the slope rows, a + L <= 1
+    pi = np.repeat(pos, len(neg))
+    qi = np.tile(neg, len(pos))
+    d = np.linalg.norm(pts[pi] - pts[qi], axis=1)
+    m = len(d)
+    atom = np.arange(k)
+    slope = 2 * k + np.arange(m)
+    last = 2 * k + m
+    rows = np.concatenate(
+        [atom, atom, atom + k, atom + k, slope, slope, slope, [last, last]]
     )
+    cols = np.concatenate(
+        [atom, np.full(k, k), atom, np.full(k, k),
+         pi, qi, np.full(m, k + 1), [k, k + 1]]
+    )
+    vals = np.concatenate(
+        [np.ones(k), -np.ones(k), -np.ones(k), -np.ones(k),
+         np.ones(m), -np.ones(m), -d, [1.0, 1.0]]
+    )
+    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(last + 1, k + 2))
+    rhs = np.zeros(last + 1)
+    rhs[last] = 1.0
     objective = np.zeros(k + 2)
     objective[:k] = -c  # linprog minimizes
     bounds = [(-1.0, 1.0)] * k + [(0.0, 1.0), (0.0, 1.0)]
     res = linprog(
-        objective, A_ub=a_ub, b_ub=np.asarray(rhs), bounds=bounds,
-        method="highs",
+        objective, A_ub=a_ub, b_ub=rhs, bounds=bounds, method="highs",
     )
     if res.status != 0:
         raise RuntimeError(f"distance LP failed: {res.message}")
@@ -182,12 +207,12 @@ def ahlfors_scan(obj, d, radii, max_probes=64, probes=None):
         probes = measure.positions[idx]
     else:
         probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    diff = measure.positions[None, :, :] - probes[:, None, :]
-    dist = np.sqrt(np.einsum("pmi,pmi->pm", diff, diff))
     rows = []
     for p in range(len(probes)):
+        diff = measure.positions - probes[p]
+        dist = np.sqrt(np.einsum("mi,mi->m", diff, diff))
         for r in radii:
-            ball = float(np.sum(measure.masses[dist[p] <= r]))
+            ball = float(np.sum(measure.masses[dist <= r]))
             scale = r**d
             if ball == 0.0:
                 ratio = np.inf

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
+from varmcf import metrics
 from varmcf.discretization import Mesh, discretize
 from varmcf.geometry import Circle, Sphere
 from varmcf.metrics import (
     AtomicMeasure,
+    _merged_signed_difference,
     ahlfors_estimate,
     ahlfors_scan,
     atomize,
@@ -15,6 +21,189 @@ from varmcf.varifold import SampledManifoldVarifold
 
 def _dirac(point, mass=1.0):
     return AtomicMeasure(np.atleast_2d(point), np.array([mass]))
+
+
+def _all_pairs_bl(mu, nu):
+    """Reference BL distance: the LP with a slope row for every atom pair."""
+    mu = atomize(mu)
+    nu = atomize(nu)
+    pts, c = _merged_signed_difference(mu, nu)
+    k = len(pts)
+    if k == 0 or np.all(c == 0):
+        return 0.0
+
+    # variables: phi_1..phi_k, a (sup bound), L (lipschitz bound)
+    rows, cols, vals = [], [], []
+    rhs = []
+
+    def add_row(entries, b):
+        r = len(rhs)
+        for col, val in entries:
+            rows.append(r)
+            cols.append(col)
+            vals.append(val)
+        rhs.append(b)
+
+    for i in range(k):
+        add_row([(i, 1.0), (k, -1.0)], 0.0)   # phi_i <= a
+        add_row([(i, -1.0), (k, -1.0)], 0.0)  # -phi_i <= a
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    iu, ju = np.triu_indices(k, 1)
+    for i, j, d in zip(iu, ju, dist[iu, ju]):
+        add_row([(int(i), 1.0), (int(j), -1.0), (k + 1, -d)], 0.0)
+        add_row([(int(i), -1.0), (int(j), 1.0), (k + 1, -d)], 0.0)
+    add_row([(k, 1.0), (k + 1, 1.0)], 1.0)    # a + L <= 1
+
+    a_ub = sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(len(rhs), k + 2)
+    )
+    objective = np.zeros(k + 2)
+    objective[:k] = -c  # linprog minimizes
+    bounds = [(-1.0, 1.0)] * k + [(0.0, 1.0), (0.0, 1.0)]
+    res = linprog(
+        objective, A_ub=a_ub, b_ub=np.asarray(rhs), bounds=bounds,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(-res.fun)
+
+
+def _shared_support_pair(n, seed):
+    # Both clouds draw from one small grid, so coinciding atoms cancel
+    # fully (equal masses) or partly (unequal masses) when merged.
+    rng = np.random.default_rng(seed)
+    grid = rng.normal(size=(12, n))
+    masses = np.array([0.25, 0.5, 1.0])
+    picks = [rng.choice(12, size=9, replace=False) for _ in range(2)]
+    mu, nu = (
+        AtomicMeasure(grid[idx], rng.choice(masses, size=len(idx)))
+        for idx in picks
+    )
+    return mu, nu
+
+
+def _circle_pair(samples, edge, subdivisions):
+    circle = Circle()
+    sample = circle.sample(samples)
+    vol = discretize(sample, Mesh(*circle.bounding_box(margin=0.05), edge))
+    return (
+        atomize(SampledManifoldVarifold(sample)),
+        atomize(vol, subdivisions=subdivisions),
+    )
+
+
+ORACLE_CASES = {
+    "shared-n1": lambda: _shared_support_pair(1, 11),
+    "shared-n2": lambda: _shared_support_pair(2, 12),
+    "shared-n3": lambda: _shared_support_pair(3, 13),
+    "one-sided": lambda: (
+        AtomicMeasure(np.random.default_rng(14).normal(size=(10, 2)),
+                      np.linspace(0.1, 1.0, 10)),
+        AtomicMeasure.zero(2),
+    ),
+    "circle-edge-0.2": lambda: _circle_pair(128, 0.2, 2),
+    # acceptance criterion 04's sampled-vs-binned circle
+    "criterion-04": lambda: _circle_pair(256, 0.1 / np.sqrt(2.0), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_matches_all_pairs_oracle(case):
+    mu, nu = ORACLE_CASES[case]()
+    ref = _all_pairs_bl(mu, nu)
+    assert ref > 0
+    assert abs(bounded_lipschitz_distance(mu, nu) - ref) <= 1e-12 * ref
+
+
+def test_shared_support_cases_cancel_atoms():
+    # The oracle cases above must exercise full cancellation (c == 0) and
+    # partial cancellation (more merged atoms than zeros).
+    for n in (1, 2, 3):
+        mu, nu = _shared_support_pair(n, 10 + n)
+        pts, c = _merged_signed_difference(mu, nu)
+        assert len(mu) + len(nu) - len(pts) > np.sum(c == 0) > 0
+
+
+@pytest.fixture
+def lp_matrices(monkeypatch):
+    """The constraint matrix of every distance LP solved during the test."""
+    captured = []
+
+    def spy(c, A_ub=None, **kwargs):
+        captured.append(A_ub)
+        return linprog(c, A_ub=A_ub, **kwargs)
+
+    monkeypatch.setattr(metrics, "linprog", spy)
+    return captured
+
+
+def test_lp_keeps_only_positive_to_negative_slope_rows(lp_matrices):
+    # (0,0) cancels exactly, (1,0) partly: positive {(1,0), (2,0)},
+    # negative {(3,0), (4,0)}, zero {(0,0)}.
+    mu = AtomicMeasure(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+                       np.array([1.0, 1.0, 2.0]))
+    nu = AtomicMeasure(
+        np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [4.0, 0.0]]),
+        np.array([1.0, 0.5, 1.0, 1.5]),
+    )
+    got = bounded_lipschitz_distance(mu, nu)
+    pts, c = _merged_signed_difference(mu, nu)
+    k = len(pts)
+    positive, negative = np.sum(c > 0), np.sum(c < 0)
+    assert (k, positive, negative) == (5, 2, 2)
+    (a_ub,) = lp_matrices
+    assert a_ub.shape == (positive * negative + 2 * k + 1, k + 2) == (15, 7)
+    assert got == pytest.approx(_all_pairs_bl(mu, nu), rel=1e-12)
+
+
+def test_lp_size_guard_raises_before_solving(monkeypatch, lp_matrices):
+    mu, nu = _shared_support_pair(2, 12)
+    pts, c = _merged_signed_difference(mu, nu)
+    positive, negative = int(np.sum(c > 0)), int(np.sum(c < 0))
+    monkeypatch.setattr(metrics, "MAX_SLOPE_ROWS", positive * negative - 1)
+    with pytest.raises(ValueError) as info:
+        bounded_lipschitz_distance(mu, nu)
+    message = str(info.value)
+    assert f"{positive} positive" in message
+    assert f"{negative} negative" in message
+    assert f"{positive * negative - 1}" in message
+    assert lp_matrices == []
+    monkeypatch.setattr(metrics, "MAX_SLOPE_ROWS", positive * negative)
+    assert bounded_lipschitz_distance(mu, nu) > 0
+    assert len(lp_matrices) == 1
+
+
+def _measures(n, count):
+    # Atoms on a coarse lattice so that supports often coincide.
+    atom = st.tuples(
+        st.tuples(*[st.integers(-2, 2)] * n),
+        st.sampled_from([0.25, 0.5, 1.0, 1.5]),
+    )
+    measure = st.lists(atom, max_size=5).map(
+        lambda atoms: AtomicMeasure(
+            np.array([p for p, _ in atoms], dtype=float).reshape(-1, n),
+            np.array([m for _, m in atoms], dtype=float),
+        )
+    )
+    return st.tuples(*[measure] * count)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3).flatmap(lambda n: _measures(n, 3)))
+def test_bl_metric_properties(triple):
+    mu, nu, rho = triple
+    d_mn = bounded_lipschitz_distance(mu, nu)
+    tol = dict(rel=1e-12, abs=1e-15)
+    assert d_mn == pytest.approx(_all_pairs_bl(mu, nu), **tol)
+    assert bounded_lipschitz_distance(nu, mu) == pytest.approx(d_mn, **tol)
+    scaled = [AtomicMeasure(m.positions, 2.0 * m.masses) for m in (mu, nu)]
+    assert bounded_lipschitz_distance(*scaled) == pytest.approx(
+        2.0 * d_mn, **tol
+    )
+    d_nr = bounded_lipschitz_distance(nu, rho)
+    d_mr = bounded_lipschitz_distance(mu, rho)
+    assert d_mr <= d_mn + d_nr + 1e-12
 
 
 def test_unit_diracs_at_distance_one():
@@ -175,3 +364,19 @@ def test_ahlfors_rejects_bad_input():
         ahlfors_estimate(mu, d=1, radii=[0.0])
     with pytest.raises(ValueError, match="empty"):
         ahlfors_estimate(AtomicMeasure.zero(2), d=1, radii=[0.5])
+
+
+def test_ahlfors_scan_matches_dense_distances():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3):
+        positions = rng.normal(size=(40, n))
+        masses = rng.uniform(0.1, 1.0, size=40)
+        probes = rng.normal(size=(7, n))
+        radii = [0.3, 0.8, 1.5]
+        rows = ahlfors_scan(AtomicMeasure(positions, masses), d=n,
+                            radii=radii, probes=probes)
+        diff = positions[None, :, :] - probes[:, None, :]
+        dist = np.sqrt(np.einsum("pmi,pmi->pm", diff, diff))
+        balls = [float(np.sum(masses[dist[p] <= r]))
+                 for p in range(len(probes)) for r in radii]
+        assert [row[2] for row in rows] == balls
