@@ -13,18 +13,20 @@ mean curvature as eps shrinks. Volumetric varifolds are evaluated through
 their midpoint subcell quadrature, refined automatically when the cell size
 is not small compared to eps.
 
-Evaluation at many points takes exact neighbour lists (atoms within eps of
-each probe) from a k-d tree of the atoms, in chunks of at most
-``_PAIR_BUDGET`` probe-atom pairs, so kernels are evaluated only inside
-their support and memory stays bounded. Each probe's list holds sorted atom
-indices, which fixes its summation order, so results do not depend on the
-order of the probes or on how they are chunked.
+Evaluation at many points visits the probes in the leaf order of a k-d tree
+built on them, so consecutive probes lie close together, and cuts that
+order into runs of at most ``_PAIR_BUDGET`` probe-atom pairs (counted
+exactly beforehand), so memory stays bounded. Each run takes all its exact
+pairs (atoms within eps) from one dual-tree search between a k-d tree of
+the run and a cached k-d tree of the atoms, so kernels are evaluated only
+inside their support. The pairs of each probe are summed in increasing
+atom index, which fixes its summation order, so results do not depend on
+the order of the probes or on how they are cut into runs.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 
 import numpy as np
@@ -107,33 +109,30 @@ class CurvatureField:
 
 
 def _atom_cloud(varifold, query):
-    """The (positions, projectors, masses, k-d tree) the sums run over.
+    """The (positions, projector columns, masses, k-d tree) summed over.
 
-    Volumetric varifolds are expanded into their subcell quadrature nodes,
-    with enough subdivisions that subcells stay below eps / 4.
+    Projector column k of every atom is stored contiguously as entry k of
+    the (n, N, n) column array. Volumetric varifolds are expanded into their
+    subcell quadrature nodes, with enough subdivisions that subcells stay
+    below eps / 4.
     """
     volumetric = isinstance(varifold, VolumetricVarifold)
     if volumetric:
-        s = max(
-            2,
-            varifold.subdivisions,
-            math.ceil(4.0 * varifold.h / query.epsilon),
-        )
+        s = max(2, varifold.subdivisions,
+                math.ceil(4.0 * varifold.h / query.epsilon))
         key = ("atom_cloud", s)
     else:
         key = ("atom_cloud",)
     if key not in varifold._caches:
         if volumetric:
-            pts, owner = varifold.quadrature_points(s)
-            proj = varifold.projectors[owner]
-            masses = np.repeat(varifold.masses / s**varifold.n, s**varifold.n)
-            for arr in (proj, masses):
-                arr.flags.writeable = False
+            pts, proj, masses = varifold.atoms(s)
         else:
             pts, proj, masses = (
                 varifold.positions, varifold.projectors, varifold.masses
             )
-        varifold._caches[key] = (pts, proj, masses, cKDTree(pts))
+        columns = np.ascontiguousarray(np.moveaxis(proj, 2, 0))
+        columns.flags.writeable = False
+        varifold._caches[key] = (pts, columns, masses, cKDTree(pts))
     return varifold._caches[key]
 
 
@@ -149,41 +148,41 @@ def _chunk_bounds(counts):
         a = b
 
 
-def _chunk_sums(cloud, query, points, counts):
-    """First variation and mass at probes with ``counts`` neighbours each.
+def _chunk_sums(cloud, query, points):
+    """First variation and mass at a run of probes.
 
-    The probe-atom pairs are held as CSR rows with sorted atom columns, so
-    every probe sums its pairs in the same order whatever chunk it is in.
+    The run's probe-atom pairs come from one dual-tree search and are held
+    as CSR rows with sorted atom columns, so every probe sums its pairs in
+    the same order whatever run it is in.
     """
-    pts, proj, masses, tree = cloud
-    n = pts.shape[1]
+    pts, columns, masses, tree = cloud
+    n_atoms, n = pts.shape
     eps = query.epsilon
     pair = query.pair
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    cols = np.fromiter(
-        itertools.chain.from_iterable(
-            tree.query_ball_point(points, eps, return_sorted=True)
-        ),
-        dtype=np.intp,
-        count=indptr[-1],
+    found = cKDTree(points).sparse_distance_matrix(
+        tree, eps, output_type="ndarray"
     )
-    rows = np.repeat(np.arange(len(points)), counts)
-    diff = pts[cols]
-    diff -= points[rows]
+    key = np.sort(found["i"] * n_atoms + found["j"])
+    rows, cols = np.divmod(key, n_atoms)
+    per_probe = np.bincount(rows, minlength=len(points))
+    indptr = np.concatenate(([0], np.cumsum(per_probe)))
+    diff = np.take(pts, cols, axis=0)
+    diff -= np.repeat(points, per_probe, axis=0)
     r = np.sqrt(np.einsum("pi,pi->p", diff, diff))
     u = r / eps
+    pair_masses = np.take(masses, cols)
+    # out of place: with no pairs at all, bincount returns int64
     den = np.bincount(
-        rows, weights=masses[cols] * pair.xi(u), minlength=len(points)
+        rows, weights=pair_masses * pair.xi(u), minlength=len(points)
     ) * eps ** (-n)
     # grad rho_eps(w) = eps^-(n+1) rho'(|w|/eps) w/|w|, zero at w=0
-    w = masses[cols] * pair.rho.derivative(u) / np.maximum(r, 1e-300)
+    w = pair_masses * pair.rho.derivative(u) / np.maximum(r, 1e-300)
     w *= eps ** (-(n + 1))
     num = np.zeros((len(points), n))
+    c = csr_matrix((w, cols, indptr), shape=(len(points), n_atoms))
     for k in range(n):
-        c = csr_matrix(
-            (w * diff[:, k], cols, indptr), shape=(len(points), len(pts))
-        )
-        num += c @ proj[:, :, k]
+        c.data = w * diff[:, k]
+        num += c @ columns[k]
     return num, den
 
 
@@ -194,13 +193,14 @@ def _pair_sums(varifold, query, points):
     points = np.ascontiguousarray(points, dtype=float)
     if points.shape[1] != tree.m:
         raise ValueError(f"query points must have dimension {tree.m}")
+    order = cKDTree(points).indices
+    ordered = np.take(points, order, axis=0)
     num = np.zeros((len(points), tree.m))
     den = np.zeros(len(points))
-    counts = tree.query_ball_point(points, query.epsilon, return_length=True)
+    counts = tree.query_ball_point(ordered, query.epsilon, return_length=True)
     for a, b in _chunk_bounds(counts):
-        num[a:b], den[a:b] = _chunk_sums(
-            cloud, query, points[a:b], counts[a:b]
-        )
+        run = order[a:b]
+        num[run], den[run] = _chunk_sums(cloud, query, ordered[a:b])
     return num, den
 
 

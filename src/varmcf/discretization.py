@@ -132,16 +132,18 @@ def discretize(sample, mesh, subdivisions=2):
         np.r_[True, sorted_lin[1:] != sorted_lin[:-1]]
     )
 
-    w_sorted = weights[order]
+    w_sorted = np.take(weights, order)
     cell_mass = np.add.reduceat(w_sorted, starts)
-    weighted_proj = w_sorted[:, None, None] * projectors[order]
+    weighted_proj = w_sorted[:, None, None] * np.take(
+        projectors, order, axis=0
+    )
     proj_sum = np.add.reduceat(weighted_proj, starts, axis=0)
 
     keep = cell_mass > 0
     cell_mass = cell_mass[keep]
     mean_proj = proj_sum[keep] / cell_mass[:, None, None]
     mean_proj = 0.5 * (mean_proj + np.swapaxes(mean_proj, -1, -2))
-    cell_idx = idx[order][starts][keep]
+    cell_idx = np.take(idx, order[starts][keep], axis=0)
 
     # Frobenius-nearest rank-d projector: span of the top-d eigenvectors.
     _, vecs = np.linalg.eigh(mean_proj)

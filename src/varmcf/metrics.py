@@ -88,9 +88,7 @@ def atomize(obj, subdivisions=None):
     if isinstance(obj, AtomicMeasure):
         return obj
     if isinstance(obj, VolumetricVarifold):
-        s = obj.subdivisions if subdivisions is None else int(subdivisions)
-        pts, owner = obj.quadrature_points(s)
-        masses = obj.masses[owner] / s**obj.n
+        pts, _, masses = obj.atoms(subdivisions)
         return AtomicMeasure(pts, masses)
     weights = getattr(obj, "weights", None)
     if weights is None:

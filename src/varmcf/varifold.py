@@ -286,6 +286,26 @@ class VolumetricVarifold:
             self._caches[key] = (pts, owner)
         return self._caches[key]
 
+    def atoms(self, subdivisions=None):
+        """The varifold as weighted atoms, one per subcell quadrature node.
+
+        Returns read-only (points, projectors, masses) of shapes
+        (M * s^n, n), (M * s^n, n, n) and (M * s^n,): each node carries its
+        cell's plane and an equal share 1 / s^n of its cell's mass. Cached
+        per subdivision count.
+        """
+        s = self.subdivisions if subdivisions is None else int(subdivisions)
+        key = ("atoms", s)
+        if key not in self._caches:
+            pts, _ = self.quadrature_points(s)
+            per_cell = s**self.n
+            proj = np.repeat(self.projectors, per_cell, axis=0)
+            masses = np.repeat(self.masses / per_cell, per_cell)
+            for arr in (proj, masses):
+                arr.flags.writeable = False
+            self._caches[key] = (pts, proj, masses)
+        return self._caches[key]
+
     def mass_total(self):
         return float(np.sum(self.masses))
 
@@ -297,18 +317,15 @@ class VolumetricVarifold:
         return float(np.sum(self.masses * vals.mean(axis=1)))
 
     def varifold_apply(self, f, subdivisions=None):
-        s = self.subdivisions if subdivisions is None else int(subdivisions)
-        pts, owner = self.quadrature_points(s)
-        proj = self.projectors[owner]
+        pts, proj, _ = self.atoms(subdivisions)
         vals = np.asarray(f(pts, proj)).reshape(len(self), -1)
         return float(np.sum(self.masses * vals.mean(axis=1)))
 
     def first_variation(self, field, subdivisions=None):
         """Cell-quadrature integral of the tangential divergence of a field."""
-        s = self.subdivisions if subdivisions is None else int(subdivisions)
-        pts, owner = self.quadrature_points(s)
+        pts, proj, _ = self.atoms(subdivisions)
         jac = np.asarray(field.jacobian(pts))
-        div = np.einsum("kij,kji->k", self.projectors[owner], jac)
+        div = np.einsum("kij,kji->k", proj, jac)
         div = div.reshape(len(self), -1)
         return float(np.sum(self.masses * div.mean(axis=1)))
 

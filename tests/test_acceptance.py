@@ -279,6 +279,7 @@ def test_criterion_07_ahlfors_regularity(capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_flow_residual(capsys):
     t0 = time.perf_counter()
     flow = ShrinkingCircle(1.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from varmcf import brakke
 from varmcf.brakke import (
     BumpVectorField,
     ConstantVectorField,
@@ -296,6 +297,40 @@ def test_measure_curvature_consistency_circle():
     errs = [err for _, err in rows]
     assert errs[0] > errs[1] > errs[2]
     assert 0.0 < estimate < 5.0
+
+
+def _dense_tangent_lipschitz(shape, resolution, max_separation):
+    """All-pairs scan in blocks of 256 rows: the oracle for the k-d tree."""
+    sample = shape.sample(resolution)
+    pts = sample.positions
+    proj = sample.projectors
+    best = 0.0
+    block = 256
+    for a in range(0, len(pts), block):
+        diff = pts[a:a + block, None, :] - pts[None, :, :]
+        dist = np.sqrt(np.einsum("pmi,pmi->pm", diff, diff))
+        pdiff = proj[a:a + block, None] - proj[None, :]
+        pdist = np.sqrt(np.einsum("pmij,pmij->pm", pdiff, pdiff))
+        mask = (dist > 0) & (dist <= max_separation)
+        if np.any(mask):
+            best = max(best, float(np.max(pdist[mask] / dist[mask])))
+    return best
+
+
+@pytest.mark.parametrize(
+    "shape, resolution, max_separation",
+    [(Circle(1.0), 1024, 0.1), (Sphere(1.0), 32, 0.2), (Circle(), 4096, 0.1)],
+    ids=["circle-1024", "sphere-32", "circle-4096"],
+)
+def test_measure_tangent_lipschitz_matches_dense_scan(
+    monkeypatch, shape, resolution, max_separation
+):
+    expected = _dense_tangent_lipschitz(shape, resolution, max_separation)
+    assert expected > 0.0
+    # A small block makes every case span several blocks.
+    monkeypatch.setattr(brakke, "_PAIR_BLOCK", 1000)
+    got = measure_tangent_lipschitz(shape, resolution, max_separation)
+    assert got == expected
 
 
 def test_measure_tangent_lipschitz_values():

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from varmcf import curvature
 from varmcf.curvature import (
@@ -128,6 +129,51 @@ def _volumetric_circle_case():
     return _dyadic_circle_cells(), default_kernel_pair(2, 1), 0.2, probes
 
 
+def _sequential_sums(cloud, pair, eps, probes):
+    """Per-probe sums accumulated one pair at a time in atom index order.
+
+    Mirrors the engine's arithmetic (a running total from 0.0 per mass sum
+    and per first-variation component, then the n projector columns added
+    in turn), so a neighbour order other than increasing atom index shows
+    up as a difference in the last bits.
+    """
+    n = cloud.n
+    num = np.zeros((len(probes), n))
+    den = np.zeros(len(probes))
+    for g, y in enumerate(probes):
+        diff = cloud.positions - y
+        r = np.sqrt(np.einsum("pi,pi->p", diff, diff))
+        near = np.flatnonzero(r <= eps)
+        u = r[near] / eps
+        mass = cloud.masses[near]
+        total = 0.0
+        for value in mass * pair.xi(u):
+            total += value
+        den[g] = total * eps ** (-n)
+        w = mass * pair.rho.derivative(u) / np.maximum(r[near], 1e-300)
+        w *= eps ** (-(n + 1))
+        for k in range(n):
+            column = np.zeros(n)
+            for a, j in zip(w * diff[near, k], near):
+                column += a * cloud.projectors[j, :, k]
+            num[g] += column
+    return num, den
+
+
+@pytest.mark.parametrize("make_case", [_sphere_case, _volumetric_circle_case])
+def test_sums_follow_atom_index_order_exactly(make_case):
+    varifold, pair, eps, probes = make_case()
+    cloud = varifold
+    if isinstance(varifold, VolumetricVarifold):
+        cloud = _expanded_cloud(varifold, eps)
+    query = CurvatureQuery(pair, eps)
+    num_ref, den_ref = _sequential_sums(cloud, pair, eps, probes)
+    assert np.array_equal(
+        regularized_first_variation(varifold, query, probes), num_ref
+    )
+    assert np.array_equal(regularized_mass(varifold, query, probes), den_ref)
+
+
 @pytest.mark.parametrize("make_case", [_sphere_case, _volumetric_circle_case])
 def test_chunking_does_not_change_sums(monkeypatch, make_case):
     varifold, pair, eps, probes = make_case()
@@ -207,17 +253,88 @@ def test_hashed_sums_match_brute_force():
     np.testing.assert_allclose(den, den_ref, rtol=1e-12, atol=1e-12)
 
 
-def test_probe_order_invariance_is_exact():
+def _sampled_circle_case():
     shape = Circle(1.0)
     v = SampledManifoldVarifold.from_shape(shape, 2048)
-    query = CurvatureQuery(default_kernel_pair(2, 1), 0.15)
-    rng = np.random.default_rng(4)
-    probes = shape.sample(64).positions
-    perm = rng.permutation(len(probes))
-    a = curvature_field(v, query, probes)
-    b = curvature_field(v, query, probes[perm])
-    assert np.array_equal(a.values[perm], b.values)
+    return v, default_kernel_pair(2, 1), 0.15, shape.sample(64).positions
+
+
+def _off_lattice_sphere_case():
+    rng = np.random.default_rng(12)
+    probes = rng.standard_normal((200, 3))
+    probes /= np.linalg.norm(probes, axis=1)[:, None]
+    sphere = SampledManifoldVarifold.from_shape(Sphere(1.0), 32)
+    return sphere, default_kernel_pair(3, 2), 0.3, probes
+
+
+@pytest.mark.parametrize("budget", [100, 10**9])
+@pytest.mark.parametrize(
+    "make_case",
+    [_sampled_circle_case, _off_lattice_sphere_case, _volumetric_circle_case],
+)
+def test_probe_order_invariance_is_exact(monkeypatch, make_case, budget):
+    varifold, pair, eps, probes = make_case()
+    monkeypatch.setattr(curvature, "_PAIR_BUDGET", budget)
+    query = CurvatureQuery(pair, eps)
+    perm = np.random.default_rng(4).permutation(len(probes))
+    a = curvature_field(varifold, query, probes)
+    b = curvature_field(varifold, query, probes[perm])
+    assert np.array_equal(a.values[perm], b.values, equal_nan=True)
     assert np.array_equal(a.denominators[perm], b.denominators)
+
+
+@pytest.mark.parametrize(
+    "make_case", [_off_lattice_sphere_case, _volumetric_circle_case]
+)
+def test_runs_stay_within_pair_budget(monkeypatch, make_case):
+    varifold, pair, eps, probes = make_case()
+    runs = []
+
+    class SpyTree(cKDTree):
+        def sparse_distance_matrix(self, other, *args, **kwargs):
+            found = super().sparse_distance_matrix(other, *args, **kwargs)
+            runs.append((self.n, len(found)))
+            return found
+
+    monkeypatch.setattr(curvature, "cKDTree", SpyTree)
+    cloud = varifold
+    if isinstance(varifold, VolumetricVarifold):
+        cloud = _expanded_cloud(varifold, eps)
+    dist = np.linalg.norm(cloud.positions[None] - probes[:, None], axis=2)
+    for budget in (100, 1000):
+        monkeypatch.setattr(curvature, "_PAIR_BUDGET", budget)
+        runs.clear()
+        curvature_field(varifold, CurvatureQuery(pair, eps), probes)
+        assert sum(size for _, size in runs) == np.sum(dist <= eps)
+        assert sum(count for count, _ in runs) == len(probes)
+        multi = [size for count, size in runs if count > 1]
+        assert multi and max(multi) <= budget
+
+
+def test_empty_probe_batch():
+    for varifold, pair, eps, _ in (
+        _off_lattice_sphere_case(), _volumetric_circle_case()
+    ):
+        n = varifold.n
+        field = curvature_field(
+            varifold, CurvatureQuery(pair, eps), np.zeros((0, n))
+        )
+        assert field.values.shape == (0, n)
+        assert field.denominators.shape == (0,)
+        assert field.ok.shape == (0,)
+
+
+def test_run_without_neighbours_fails_cleanly(monkeypatch):
+    monkeypatch.setattr(curvature, "_PAIR_BUDGET", 1)
+    for varifold, pair, eps, _ in (
+        _off_lattice_sphere_case(), _volumetric_circle_case()
+    ):
+        far = 5.0 + np.arange(4.0)[:, None] * np.ones(varifold.n)
+        field = curvature_field(varifold, CurvatureQuery(pair, eps), far)
+        assert np.all(np.isnan(field.values))
+        assert field.denominators.dtype == np.float64
+        assert np.array_equal(field.denominators, np.zeros(len(far)))
+        assert not np.any(field.ok)
 
 
 def test_atom_permutation_invariance():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from varmcf.discretization import Mesh, discretize
 from varmcf.geometry import Circle, Sphere
+from varmcf.metrics import atomize
 from varmcf.varifold import (
     PointCloudVarifold,
     SampledManifoldVarifold,
@@ -293,3 +295,22 @@ def test_volumetric_quadrature_point_count():
     corners = v.mesh.origin + v.cell_indices[owner] * v.mesh.edge
     rel = (pts - corners) / v.mesh.edge
     assert np.all(rel > 0) and np.all(rel < 1)
+
+
+@pytest.mark.parametrize("subdivisions", [1, 2, 3])
+def test_volumetric_atoms_expand_each_cell_bitwise(subdivisions):
+    sample = Circle(1.0).sample(2048)
+    v = discretize(sample, Mesh([-1.2, -1.2], [1.2, 1.2], 0.1))
+    s = subdivisions
+    pts, proj, masses = v.atoms(s)
+    nodes, owner = v.quadrature_points(s)
+    assert pts is nodes
+    assert np.array_equal(proj, v.projectors[owner])
+    # Both former expansions: share per node, and cell mass per share.
+    assert np.array_equal(masses, v.masses[owner] / s**v.n)
+    assert np.array_equal(masses, np.repeat(v.masses / s**v.n, s**v.n))
+    assert v.atoms(s) is v.atoms(s)
+    assert not (proj.flags.writeable or masses.flags.writeable)
+    measure = atomize(v, s)
+    assert np.array_equal(measure.positions, pts)
+    assert np.array_equal(measure.masses, masses)
