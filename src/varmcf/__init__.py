@@ -29,8 +29,7 @@ from .curvature import (  # noqa: F401
     DenominatorTooSmall,
     approx_mean_curvature,
     curvature_field,
-    regularized_first_variation,
-    regularized_mass,
+    regularized_sums,
 )
 from .discretization import Mesh, discretize, tangent_fit_quality  # noqa: F401
 from .flow import (  # noqa: F401
@@ -52,8 +51,6 @@ from .kernels import (  # noqa: F401
     KernelPair,
     default_kernel_pair,
     make_kernel_pair,
-    normalization_constant,
-    normalize_pair,
 )
 from .metrics import (  # noqa: F401
     AtomicMeasure,

@@ -515,12 +515,9 @@ def _thread_count(threads):
 
 def _snapshot_terms(volumetric, query, phi):
     """Mass, curvature, and transport integrals of one snapshot."""
-    pts, owner = volumetric.quadrature_points()
+    pts, _, per_node = volumetric.atoms()
     phi_vals = phi(pts)
     grad_vals = phi.gradient(pts)
-    per_node = volumetric.masses[owner] / (
-        volumetric.subdivisions**volumetric.n
-    )
     mass_phi = float(np.sum(per_node * phi_vals))
 
     active = (phi_vals != 0.0) | np.any(grad_vals != 0.0, axis=1)

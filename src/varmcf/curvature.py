@@ -39,8 +39,7 @@ __all__ = [
     "DenominatorTooSmall",
     "CurvatureQuery",
     "CurvatureField",
-    "regularized_first_variation",
-    "regularized_mass",
+    "regularized_sums",
     "approx_mean_curvature",
     "curvature_field",
     "write_curvature_csv",
@@ -210,36 +209,19 @@ def _as_batch(points):
     return np.atleast_2d(points), single
 
 
-def regularized_first_variation(varifold, query, points):
-    """Kernel-smoothed first variation sum_j m_j P_j grad rho_eps(x_j - y)."""
-    batch, single = _as_batch(points)
-    num, _ = _pair_sums(varifold, query, batch)
-    return num[0] if single else num
+def regularized_sums(varifold, query, points):
+    """Kernel-smoothed first variation and mass density at the points.
 
-
-def regularized_mass(varifold, query, points):
-    """Kernel-smoothed mass density sum_j m_j xi_eps(|x_j - y|)."""
-    batch, single = _as_batch(points)
-    _, den = _pair_sums(varifold, query, batch)
-    return float(den[0]) if single else den
-
-
-def approx_mean_curvature(varifold, query, points):
-    """Regularized mean curvature; raises if any denominator underflows."""
+    Returns (sum_j m_j P_j grad rho_eps(x_j - y), sum_j m_j xi_eps(|x_j - y|))
+    as arrays of shapes (P, n) and (P,), or (n,) and a float for one point.
+    """
     batch, single = _as_batch(points)
     num, den = _pair_sums(varifold, query, batch)
-    floor = query.floor
-    bad = den < floor
-    if np.any(bad):
-        worst = int(np.argmin(den))
-        raise DenominatorTooSmall(batch[worst], den[worst], floor)
-    ratio = query.pair.c_xi / query.pair.c_rho
-    values = -ratio * num / den[:, None]
-    return values[0] if single else values
+    return (num[0], float(den[0])) if single else (num, den)
 
 
 def curvature_field(varifold, query, points):
-    """Like :func:`approx_mean_curvature` but records failures per point."""
+    """Regularized mean curvature at each point, failures recorded."""
     batch, _ = _as_batch(points)
     num, den = _pair_sums(varifold, query, batch)
     ok = den >= query.floor
@@ -247,6 +229,19 @@ def curvature_field(varifold, query, points):
     values = np.full_like(num, np.nan)
     values[ok] = -ratio * num[ok] / den[ok, None]
     return CurvatureField(batch, values, den, ok)
+
+
+def approx_mean_curvature(varifold, query, points):
+    """Like :func:`curvature_field` but raises at the smallest denominator
+    if any denominator is below the floor."""
+    batch, single = _as_batch(points)
+    field = curvature_field(varifold, query, batch)
+    if not np.all(field.ok):
+        worst = int(np.argmin(field.denominators))
+        raise DenominatorTooSmall(
+            batch[worst], field.denominators[worst], query.floor
+        )
+    return field.values[0] if single else field.values
 
 
 def write_curvature_csv(field, path):

@@ -2,9 +2,9 @@
 
 Shapes know their exact geometry: positions, tangent planes as orthogonal
 projectors, mean curvature vectors, principal curvature bounds, and total
-d-dimensional measure. ``sample_surface`` turns a shape into a weighted
-point sample whose weights are quadrature weights for the surface measure,
-using spectrally accurate product rules on the parameter domain.
+d-dimensional measure. ``AnalyticShape.sample`` turns a shape into a
+weighted point sample whose weights are quadrature weights for the surface
+measure, using spectrally accurate product rules on the parameter domain.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ __all__ = [
     "Sphere",
     "Torus",
     "projector_distance",
-    "exact_mean_curvature",
-    "sample_surface",
     "make_shape",
 ]
 
@@ -191,7 +189,13 @@ class AnalyticShape:
         raise NotImplementedError
 
     def sample(self, resolution):
-        """Quadrature sample; see ``sample_surface``."""
+        """Sample the shape into a WeightedSample at the given resolution.
+
+        Resolution counts quadrature nodes per parameter axis (at least 8).
+        Doubling it at least halves the total-measure error until the rule's
+        floor; for the circle, sphere, and torus the total measure is exact
+        up to roundoff.
+        """
         raise NotImplementedError
 
     def bounding_box(self, margin=0.0):
@@ -521,22 +525,6 @@ def _check_resolution(resolution):
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
     return resolution
-
-
-def exact_mean_curvature(shape, y):
-    """Mean curvature vector of ``shape`` at on-shape points ``y``."""
-    return shape.mean_curvature(y)
-
-
-def sample_surface(shape, resolution):
-    """Sample ``shape`` into a WeightedSample at the given resolution.
-
-    Resolution counts quadrature nodes per parameter axis (at least 8).
-    Doubling it at least halves the total-measure error until the rule's
-    floor; for the circle, sphere, and torus the total measure is exact up
-    to roundoff.
-    """
-    return shape.sample(resolution)
 
 
 _SHAPES = {

@@ -5,24 +5,27 @@ profile ``xi`` smoothing the mass measure, both supported on [0, 1]. The
 natural companion of ``rho`` in ambient dimension n is
 ``xi(r) = -r rho'(r) / n``; with that choice the two scaled kernels satisfy
 the differentiation identity that makes the curvature quotient consistent.
-Normalization divides each profile by its d-dimensional moment so the
-quotient carries no spurious constant.
+
+Every profile here is ``c q^a (1 - q)^b`` with ``q = r^2`` on r < 1 and zero
+outside: rho = ``(1 - q)^k``, its natural companion
+``(2k/n) q (1 - q)^(k-1)`` and the mismatched control ``(1 - q)^(k-1)``.
+Values and derivatives are evaluated in that factored form, with integer
+powers by repeated multiplication, so they stay accurate near r = 1. The
+d-dimensional moment has the closed form ``d omega_d (c/2) B(a + d/2, b + 1)``
+and normalization divides c by it, so the quotient carries no spurious
+constant.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
 __all__ = [
     "PolynomialProfile",
-    "NaturalCompanion",
-    "ScaledProfile",
     "KernelPair",
     "natural_pair_from_rho",
-    "normalization_constant",
-    "normalize_pair",
     "default_kernel_pair",
     "mismatched_pair",
     "make_kernel_pair",
@@ -33,10 +36,41 @@ _GRID_SIZE = 4096
 _GRID = np.linspace(0.0, 1.0, _GRID_SIZE)
 
 
-class PolynomialProfile:
-    """Compactly supported bump (1 - r^2)^k on [0, 1], zero outside.
+def _d_dq(terms):
+    """d/dq of a sum of terms c q^i (1 - q)^j, as (c, i, j) terms again."""
+    out = []
+    for c, i, j in terms:
+        if i:
+            out.append((c * i, i - 1, j))
+        if j:
+            out.append((-c * j, i, j - 1))
+    return out
 
-    The exponent must be at least 3 so the extension by zero is C^2.
+
+def _evaluate(terms, q):
+    """Sum of c q^i (1 - q)_+^j over the (c, i, j) terms.
+
+    (1 - q)_+^0 is the indicator of q < 1, so every term vanishes outside
+    the support.
+    """
+    t = np.maximum(1.0 - q, 0.0)
+    total = None
+    for c, i, j in terms:
+        term = c * t if j else c * (t > 0.0)
+        for _ in range(j - 1):
+            term *= t
+        for _ in range(i):
+            term *= q
+        total = term if total is None else total + term
+    return total
+
+
+class PolynomialProfile:
+    """Compactly supported bump c (r^2)^a (1 - r^2)^b on [0, 1], zero outside.
+
+    ``PolynomialProfile(k)`` is (1 - r^2)^k; k must be at least 3 so the
+    extension by zero is C^2. Companions and rescaled copies come from
+    :meth:`natural_companion` and :meth:`scaled`.
     """
 
     def __init__(self, exponent=4):
@@ -45,80 +79,57 @@ class PolynomialProfile:
             raise ValueError(
                 "exponent must be >= 3 for a C^2 compactly supported profile"
             )
-        self.exponent = exponent
+        self._set(1.0, 0, exponent)
+
+    @classmethod
+    def _factored(cls, c, a, b):
+        profile = cls.__new__(cls)
+        profile._set(c, a, b)
+        return profile
+
+    def _set(self, c, a, b):
+        self.c, self.a, self.b = float(c), int(a), int(b)
+        self._value = [(self.c, self.a, self.b)]
+        # f'(r) = 2 r (df/dq); f''(r) = 2 (df/dq) + 4 q (d2f/dq2)
+        slope = _d_dq(self._value)
+        self._slope = [(2.0 * w, i, j) for w, i, j in slope]
+        self._curvature = self._slope + [
+            (4.0 * w, i + 1, j) for w, i, j in _d_dq(slope)
+        ]
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        u = 1.0 - r**2
-        return np.where((r >= 0) & (r < 1), np.maximum(u, 0.0) ** self.exponent, 0.0)
+        return _evaluate(self._value, r * r)
 
     def derivative(self, r):
         r = np.asarray(r, dtype=float)
-        k = self.exponent
-        u = np.maximum(1.0 - r**2, 0.0)
-        return np.where((r >= 0) & (r < 1), -2.0 * k * r * u ** (k - 1), 0.0)
+        return r * _evaluate(self._slope, r * r)
 
     def second_derivative(self, r):
         r = np.asarray(r, dtype=float)
-        k = self.exponent
-        u = np.maximum(1.0 - r**2, 0.0)
-        val = -2.0 * k * u ** (k - 1) + 4.0 * k * (k - 1) * r**2 * u ** (k - 2)
-        return np.where((r >= 0) & (r < 1), val, 0.0)
+        return _evaluate(self._curvature, r * r)
 
+    def scaled(self, factor):
+        """The profile multiplied by a constant factor."""
+        return self._factored(self.c * factor, self.a, self.b)
 
-class NaturalCompanion:
-    """Mass profile xi(r) = -r rho'(r) / n induced by a first-variation
-    profile rho in ambient dimension n."""
+    def natural_companion(self, n):
+        """Natural xi = -r rho'(r) / n, here (2kc/n) q (1 - q)^(k-1)."""
+        if self.a:
+            raise ValueError("natural companion needs rho = c (1 - r^2)^k")
+        return self._factored(2.0 * self.b * self.c / n, 1, self.b - 1)
 
-    def __init__(self, rho, n):
-        self.rho = rho
-        self.n = int(n)
+    def moment(self, d):
+        """d-dimensional moment d * omega_d * int_0^1 profile(r) r^(d-1) dr.
 
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        return -r * self.rho.derivative(r) / self.n
-
-    def derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        return -(self.rho.derivative(r) + r * self.rho.second_derivative(r)) / self.n
-
-
-class ScaledProfile:
-    """A profile multiplied by a constant factor."""
-
-    def __init__(self, base, factor):
-        self.base = base
-        self.factor = float(factor)
-
-    def __call__(self, r):
-        return self.factor * self.base(r)
-
-    def derivative(self, r):
-        return self.factor * self.base.derivative(r)
-
-    def second_derivative(self, r):
-        return self.factor * self.base.second_derivative(r)
-
-
-def normalization_constant(profile, d):
-    """d-dimensional moment d * omega_d * int_0^1 profile(r) r^(d-1) dr.
-
-    omega_d is the volume of the d-dimensional unit ball. Uses adaptive
-    quadrature with relative tolerance 1e-12.
-    """
-    d = int(d)
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    omega = np.pi ** (d / 2.0) / gamma_fn(d / 2.0 + 1.0)
-    val, _ = quad(
-        lambda rr: float(profile(rr)) * rr ** (d - 1),
-        0.0,
-        1.0,
-        epsabs=1e-300,
-        epsrel=1e-12,
-        limit=200,
-    )
-    return d * omega * val
+        omega_d is the volume of the d-dimensional unit ball; substituting
+        q = r^2 turns the integral into (c/2) B(a + d/2, b + 1).
+        """
+        d = int(d)
+        if d < 1:
+            raise ValueError("d must be a positive integer")
+        omega = np.pi ** (d / 2.0) / gamma_fn(d / 2.0 + 1.0)
+        return d * omega * 0.5 * self.c * beta_fn(self.a + d / 2.0, self.b + 1)
 
 
 class KernelPair:
@@ -127,9 +138,10 @@ class KernelPair:
     Parameters
     ----------
     rho : profile
-        First-variation profile; needs value, derivative, second_derivative.
+        First-variation profile; needs value, derivative, second_derivative,
+        moment and scaled.
     xi : profile
-        Mass profile; needs value and derivative.
+        Mass profile; needs value, derivative, moment and scaled.
     n : int
         Ambient dimension.
     d : int
@@ -151,8 +163,8 @@ class KernelPair:
         if not 1 <= self.d < self.n:
             raise ValueError("need 1 <= d < n")
         self._validate()
-        self.c_rho = normalization_constant(rho, self.d)
-        self.c_xi = normalization_constant(xi, self.d)
+        self.c_rho = float(rho.moment(self.d))
+        self.c_xi = float(xi.moment(self.d))
         rp = np.abs(rho.derivative(_GRID))
         rpp = np.abs(rho.second_derivative(_GRID))
         xp = np.abs(xi.derivative(_GRID))
@@ -199,21 +211,11 @@ class KernelPair:
         grid = np.linspace(left, 0.5, _GRID_SIZE)
         return float(self.xi(grid).min())
 
-    def rho_scaled(self, r, eps):
-        """Value of the scaled kernel eps^-n rho(r / eps); zero for r >= eps."""
-        r = np.asarray(r, dtype=float)
-        return self.rho(r / eps) / eps**self.n
-
-    def xi_scaled(self, r, eps):
-        """Value of the scaled kernel eps^-n xi(r / eps); zero for r >= eps."""
-        r = np.asarray(r, dtype=float)
-        return self.xi(r / eps) / eps**self.n
-
     def normalized(self):
         """Pair rescaled so both normalization constants equal 1."""
         return KernelPair(
-            ScaledProfile(self.rho, 1.0 / self.c_rho),
-            ScaledProfile(self.xi, 1.0 / self.c_xi),
+            self.rho.scaled(1.0 / self.c_rho),
+            self.xi.scaled(1.0 / self.c_xi),
             self.n,
             self.d,
         )
@@ -221,12 +223,7 @@ class KernelPair:
 
 def natural_pair_from_rho(rho, n, d):
     """Kernel pair with xi the natural companion of rho."""
-    return KernelPair(rho, NaturalCompanion(rho, n), n, d)
-
-
-def normalize_pair(pair):
-    """Rescale both profiles so their d-moments are 1."""
-    return pair.normalized()
+    return KernelPair(rho, rho.natural_companion(n), n, d)
 
 
 def default_kernel_pair(n, d, exponent=4, normalized=True):
@@ -242,9 +239,9 @@ def mismatched_pair(n, d, exponent=4, normalized=True):
     inside the support yet does not satisfy the natural relation; curvature
     built on it is expected to lose first-order consistency.
     """
-    pair = KernelPair(
-        PolynomialProfile(exponent), PolynomialProfile(exponent - 1), n, d
-    )
+    rho = PolynomialProfile(exponent)
+    xi = PolynomialProfile._factored(1.0, 0, rho.b - 1)
+    pair = KernelPair(rho, xi, n, d)
     return pair.normalized() if normalized else pair
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import runner_env
+from kernel_oracle import normalization_constant
 from varmcf.brakke import (
     RadialBump,
     brakke_residual,
@@ -30,8 +31,6 @@ from varmcf.kernels import (
     PolynomialProfile,
     default_kernel_pair,
     natural_pair_from_rho,
-    normalization_constant,
-    normalize_pair,
 )
 from varmcf.metrics import (
     AtomicMeasure,
@@ -95,7 +94,7 @@ def test_criterion_01_kernel_pair_validity(capsys):
     )))
     c_rho = normalization_constant(rho, 1)
     moment_gap = abs(c_rho - 256.0 / 315.0)
-    norm = normalize_pair(raw)
+    norm = raw.normalized()
     renorm_gap = max(
         abs(normalization_constant(norm.rho, 1) - 1.0),
         abs(normalization_constant(norm.xi, 1) - 1.0),

@@ -1,3 +1,4 @@
+import copy
 import math
 import time
 
@@ -11,8 +12,7 @@ from varmcf.curvature import (
     DenominatorTooSmall,
     approx_mean_curvature,
     curvature_field,
-    regularized_first_variation,
-    regularized_mass,
+    regularized_sums,
     write_curvature_csv,
 )
 from varmcf.discretization import Mesh, discretize
@@ -78,8 +78,7 @@ def _dyadic_circle_cells():
 
 def _assert_matches_oracle(varifold, cloud, pair, eps, probes):
     query = CurvatureQuery(pair, eps)
-    num = regularized_first_variation(varifold, query, probes)
-    den = regularized_mass(varifold, query, probes)
+    num, den = regularized_sums(varifold, query, probes)
     num_ref, den_ref = _brute_force(cloud, pair, eps, probes)
     np.testing.assert_allclose(num, num_ref, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(den, den_ref, rtol=1e-12, atol=1e-12)
@@ -168,10 +167,9 @@ def test_sums_follow_atom_index_order_exactly(make_case):
         cloud = _expanded_cloud(varifold, eps)
     query = CurvatureQuery(pair, eps)
     num_ref, den_ref = _sequential_sums(cloud, pair, eps, probes)
-    assert np.array_equal(
-        regularized_first_variation(varifold, query, probes), num_ref
-    )
-    assert np.array_equal(regularized_mass(varifold, query, probes), den_ref)
+    num, den = regularized_sums(varifold, query, probes)
+    assert np.array_equal(num, num_ref)
+    assert np.array_equal(den, den_ref)
 
 
 @pytest.mark.parametrize("make_case", [_sphere_case, _volumetric_circle_case])
@@ -205,11 +203,16 @@ def test_chunking_does_not_change_sums(monkeypatch, make_case):
 def test_circle_curvature_close_to_analytic():
     shape = Circle(1.0)
     v = SampledManifoldVarifold.from_shape(shape, 16384)
-    query = CurvatureQuery(default_kernel_pair(2, 1), epsilon=0.05)
+    pair = default_kernel_pair(2, 1)
+    query = CurvatureQuery(pair, epsilon=0.05)
     probes = shape.sample(16).positions
     h_approx = approx_mean_curvature(v, query, probes)
     h_true = shape.mean_curvature(probes)
     assert np.max(np.linalg.norm(h_approx - h_true, axis=1)) < 0.01
+    # The curvature is exactly the quotient of the two regularized sums.
+    num, den = regularized_sums(v, query, probes)
+    quotient = -(pair.c_xi / pair.c_rho) * num / den[:, None]
+    assert np.array_equal(h_approx, quotient)
 
 
 def test_sphere_curvature_close_to_analytic():
@@ -246,8 +249,7 @@ def test_hashed_sums_match_brute_force():
     pair = default_kernel_pair(2, 1)
     query = CurvatureQuery(pair, 0.3)
     probes = rng.uniform(-1.0, 1.0, size=(40, 2))
-    num = regularized_first_variation(v, query, probes)
-    den = regularized_mass(v, query, probes)
+    num, den = regularized_sums(v, query, probes)
     num_ref, den_ref = _brute_force(v, pair, 0.3, probes)
     np.testing.assert_allclose(num, num_ref, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(den, den_ref, rtol=1e-12, atol=1e-12)
@@ -309,6 +311,55 @@ def test_runs_stay_within_pair_budget(monkeypatch, make_case):
         assert sum(count for count, _ in runs) == len(probes)
         multi = [size for count, size in runs if count > 1]
         assert multi and max(multi) <= budget
+
+
+class _RecordingProfile:
+    """A kernel profile that records the radii of its value and derivative
+    calls."""
+
+    def __init__(self, profile):
+        self.profile = profile
+        self.values = []
+        self.derivatives = []
+
+    def __call__(self, u):
+        self.values.append(np.array(u, dtype=float))
+        return self.profile(u)
+
+    def derivative(self, u):
+        self.derivatives.append(np.array(u, dtype=float))
+        return self.profile.derivative(u)
+
+
+@pytest.mark.parametrize(
+    "make_case", [_off_lattice_sphere_case, _volumetric_circle_case]
+)
+def test_kernels_see_exactly_the_pairs_in_reach(monkeypatch, make_case):
+    # Each run calls pair.xi and pair.rho.derivative once, on the radii
+    # |x_j - y| / eps of its pairs within eps and nothing else; outside
+    # instrumentation counts kernel evaluations from these calls.
+    varifold, pair, eps, probes = make_case()
+    monkeypatch.setattr(curvature, "_PAIR_BUDGET", 100)
+    cloud = varifold
+    if isinstance(varifold, VolumetricVarifold):
+        cloud = _expanded_cloud(varifold, eps)
+    dist = np.linalg.norm(cloud.positions[None] - probes[:, None], axis=2)
+    spy = copy.copy(pair)
+    spy.xi = _RecordingProfile(pair.xi)
+    spy.rho = _RecordingProfile(pair.rho)
+    field = curvature_field(varifold, CurvatureQuery(spy, eps), probes)
+    xi_calls, rho_calls = spy.xi.values, spy.rho.derivatives
+    assert len(xi_calls) == len(rho_calls) > 1
+    assert not spy.xi.derivatives and not spy.rho.values
+    for u_xi, u_rho in zip(xi_calls, rho_calls):
+        assert np.array_equal(u_xi, u_rho)
+    radii = np.sort(np.concatenate(xi_calls))
+    assert len(radii) == np.sum(dist <= eps)
+    np.testing.assert_allclose(
+        radii, np.sort(dist[dist <= eps]) / eps, rtol=0, atol=1e-12
+    )
+    ref = curvature_field(varifold, CurvatureQuery(pair, eps), probes)
+    assert np.array_equal(field.values, ref.values, equal_nan=True)
 
 
 def test_empty_probe_batch():

@@ -10,10 +10,8 @@ from varmcf.geometry import (
     Plane,
     Sphere,
     Torus,
-    exact_mean_curvature,
     make_shape,
     projector_distance,
-    sample_surface,
 )
 
 
@@ -53,7 +51,7 @@ def test_projector_distance_dimension_mismatch():
 
 def test_circle_mean_curvature_value():
     circle = Circle(radius=1.0)
-    h = exact_mean_curvature(circle, np.array([1.0, 0.0]))
+    h = circle.mean_curvature(np.array([1.0, 0.0]))
     assert np.max(np.abs(h - np.array([-1.0, 0.0]))) < 1e-12
 
 

@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
+from kernel_oracle import normalization_constant
 from varmcf.kernels import (
     KernelPair,
-    NaturalCompanion,
     PolynomialProfile,
     default_kernel_pair,
     make_kernel_pair,
     mismatched_pair,
     natural_pair_from_rho,
-    normalization_constant,
-    normalize_pair,
 )
 
 GRID = np.linspace(0.0, 1.0, 1001)
@@ -20,7 +18,7 @@ GRID = np.linspace(0.0, 1.0, 1001)
 
 def test_natural_companion_closed_form():
     # rho = (1 - r^2)^4 in n = 2 gives xi = 4 r^2 (1 - r^2)^3.
-    xi = NaturalCompanion(PolynomialProfile(4), 2)
+    xi = natural_pair_from_rho(PolynomialProfile(4), 2, 1).xi
     expected = 4.0 * GRID**2 * (1.0 - GRID**2) ** 3
     expected[GRID >= 1.0] = 0.0
     assert np.max(np.abs(xi(GRID) - expected)) < 1e-14
@@ -39,7 +37,7 @@ def test_normalize_pair_unit_constants():
     pair = natural_pair_from_rho(PolynomialProfile(4), n=2, d=1)
     assert abs(pair.c_rho - 256.0 / 315.0) < 1e-12
     assert abs(pair.c_xi - 128.0 / 315.0) < 1e-12
-    unit = normalize_pair(pair)
+    unit = pair.normalized()
     assert abs(unit.c_rho - 1.0) < 1e-12
     assert abs(unit.c_xi - 1.0) < 1e-12
 
@@ -57,10 +55,20 @@ def test_scaled_kernels_vanish_outside_support():
     pair = default_kernel_pair(n=2, d=1)
     eps = 0.3
     r = np.array([0.3, 0.31, 0.5, 2.0])
-    assert np.all(pair.rho_scaled(r, eps) == 0.0)
-    assert np.all(pair.xi_scaled(r, eps) == 0.0)
+    assert np.all(pair.rho(r / eps) == 0.0)
+    assert np.all(pair.xi(r / eps) == 0.0)
     inside = np.array([0.0, 0.1, 0.29])
-    assert np.all(pair.xi_scaled(inside, eps)[1:] > 0.0)
+    assert np.all(pair.xi(inside / eps)[1:] > 0.0)
+
+
+@pytest.mark.parametrize("kind", ["natural", "mismatched"])
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("exponent", [3, 4, 5, 6])
+def test_closed_form_moments_match_quadrature(kind, n, d, exponent):
+    pair = make_kernel_pair(kind, n, d, exponent, normalized=False)
+    for profile, closed in ((pair.rho, pair.c_rho), (pair.xi, pair.c_xi)):
+        oracle = normalization_constant(profile, d)
+        assert abs(closed - oracle) <= 1e-12 * oracle
 
 
 def test_sup_norms_match_analytic_extrema():
@@ -96,7 +104,7 @@ def test_nonvanishing_profile_rejected():
             return np.zeros_like(np.asarray(r, dtype=float))
 
     with pytest.raises(ValueError, match="vanish at r = 1"):
-        KernelPair(Flat(), NaturalCompanion(PolynomialProfile(4), 2), 2, 1)
+        KernelPair(Flat(), default_kernel_pair(2, 1).xi, 2, 1)
 
 
 def test_rho_with_sloped_origin_rejected():
@@ -114,7 +122,7 @@ def test_rho_with_sloped_origin_rejected():
             return np.where(r < 1, 12.0 * (1.0 - r) ** 2, 0.0)
 
     with pytest.raises(ValueError, match="rho'\\(0\\)"):
-        KernelPair(Tent(), NaturalCompanion(Tent(), 2), 2, 1)
+        KernelPair(Tent(), default_kernel_pair(2, 1).xi, 2, 1)
 
 
 def test_mismatched_pair_flagged_non_natural():
