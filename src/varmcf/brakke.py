@@ -433,11 +433,18 @@ class ResidualReport:
     time-quadrature sum of the flux integrand, recomputable from the
     stored arrays via :meth:`recompute`; reversing the time orientation
     negates it exactly.
+
+    Curvature failures are recorded per snapshot: ``failed_per_snapshot``
+    counts the nodes whose regularized mass fell below the floor (their
+    curvature enters the terms as zero) and ``min_den_over_floor`` holds the
+    smallest regularized mass over the floor, +inf where no node was
+    evaluated. ``failed_nodes`` is their total.
     """
 
     def __init__(self, times, mass_phi, curvature_terms, transport_terms,
                  time_weights, time_rule, epsilon=None, h=None, edge=None,
-                 gamma=None, hypothesis_satisfied=None, failed_nodes=0,
+                 gamma=None, hypothesis_satisfied=None,
+                 failed_per_snapshot=None, min_den_over_floor=None,
                  bounds=None):
         self.times = np.asarray(times, dtype=float)
         self.mass_phi = np.asarray(mass_phi, dtype=float)
@@ -450,7 +457,16 @@ class ResidualReport:
         self.edge = edge
         self.gamma = gamma
         self.hypothesis_satisfied = hypothesis_satisfied
-        self.failed_nodes = int(failed_nodes)
+        count = len(self.times)
+        self.failed_per_snapshot = (
+            np.zeros(count, dtype=np.int64) if failed_per_snapshot is None
+            else np.asarray(failed_per_snapshot, dtype=np.int64)
+        )
+        self.min_den_over_floor = (
+            np.full(count, np.inf) if min_den_over_floor is None
+            else np.asarray(min_den_over_floor, dtype=float)
+        )
+        self.failed_nodes = int(np.sum(self.failed_per_snapshot))
         self.bounds = dict(bounds) if bounds else {}
         self.mass_difference = float(self.mass_phi[-1] - self.mass_phi[0])
         self.flux_integral = float(
@@ -514,7 +530,8 @@ def _thread_count(threads):
 
 
 def _snapshot_terms(volumetric, query, phi):
-    """Mass, curvature, and transport integrals of one snapshot."""
+    """Mass, curvature, and transport integrals of one snapshot, with its
+    failed-node count and smallest denominator over the floor."""
     pts, _, per_node = volumetric.atoms()
     phi_vals = phi(pts)
     grad_vals = phi.gradient(pts)
@@ -523,9 +540,11 @@ def _snapshot_terms(volumetric, query, phi):
     active = (phi_vals != 0.0) | np.any(grad_vals != 0.0, axis=1)
     h_vals = np.zeros_like(grad_vals)
     failed = 0
+    margin = math.inf
     if np.any(active):
         field = curvature_field(volumetric, query, pts[active])
         failed = field.n_failures
+        margin = float(np.min(field.denominators)) / query.floor
         filled = field.values.copy()
         filled[~field.ok] = 0.0
         h_vals[active] = filled
@@ -534,7 +553,7 @@ def _snapshot_terms(volumetric, query, phi):
     transport_term = float(
         np.sum(per_node * np.einsum("ki,ki->k", grad_vals, h_vals))
     )
-    return mass_phi, curvature_term, transport_term, failed
+    return mass_phi, curvature_term, transport_term, failed, margin
 
 
 def brakke_residual(trajectory, edge, pair, epsilon, phi,
@@ -577,7 +596,8 @@ def brakke_residual(trajectory, edge, pair, epsilon, phi,
             results = list(pool.map(one, indices))
     else:
         results = [one(i) for i in indices]
-    mass_phi, curvature_terms, transport_terms, failures = zip(*results)
+    (mass_phi, curvature_terms, transport_terms,
+     failures, margins) = zip(*results)
 
     bounds = {}
     if ledger is not None:
@@ -597,7 +617,8 @@ def brakke_residual(trajectory, edge, pair, epsilon, phi,
         trajectory.times, mass_phi, curvature_terms, transport_terms,
         weights, time_rule, epsilon=epsilon, h=mesh.h, edge=edge,
         gamma=gamma, hypothesis_satisfied=hypothesis,
-        failed_nodes=sum(failures), bounds=bounds,
+        failed_per_snapshot=failures, min_den_over_floor=margins,
+        bounds=bounds,
     )
 
 

@@ -15,13 +15,18 @@ is not small compared to eps.
 
 Evaluation at many points visits the probes in the leaf order of a k-d tree
 built on them, so consecutive probes lie close together, and cuts that
-order into runs of at most ``_PAIR_BUDGET`` probe-atom pairs (counted
-exactly beforehand), so memory stays bounded. Each run takes all its exact
-pairs (atoms within eps) from one dual-tree search between a k-d tree of
-the run and a cached k-d tree of the atoms, so kernels are evaluated only
-inside their support. The pairs of each probe are summed in increasing
-atom index, which fixes its summation order, so results do not depend on
-the order of the probes or on how they are cut into runs.
+order into runs of at most ``_PAIR_BUDGET`` candidate pairs, so memory
+stays bounded. The neighbour search runs on groups of atoms rather than on
+atoms (the cell-list method of molecular dynamics): a volumetric varifold
+is searched by cell centre, and each cell found brings in its s^n
+consecutive subcell atoms at once; an atomic varifold is the special case
+of one-atom groups. Each run takes its (probe, group) pairs from one
+dual-tree search at a reach that finds every group with an atom within
+eps, expands them to (probe, atom) pairs and keeps those with
+|x_j - y| <= eps, so kernels are evaluated only inside their support. The
+pairs of each probe are summed in increasing atom index, which fixes its
+summation order, so results do not depend on the order of the probes or on
+how they are cut into runs.
 """
 
 from __future__ import annotations
@@ -47,6 +52,10 @@ __all__ = [
 
 # Most probe-atom pairs held at once; bounds the per-chunk pair arrays.
 _PAIR_BUDGET = 32_768
+# Relative widening of the group search radius: the tree measures distances
+# to group centres with its own rounding, which must not drop an atom at
+# exactly eps. Covers coordinates up to about 10^6 times the radius.
+_REACH_SLACK = 1e-9
 
 
 class DenominatorTooSmall(ValueError):
@@ -108,12 +117,16 @@ class CurvatureField:
 
 
 def _atom_cloud(varifold, query):
-    """The (positions, projector columns, masses, k-d tree) summed over.
+    """The atoms summed over and the groups they are searched by.
 
-    Projector column k of every atom is stored contiguously as entry k of
-    the (n, N, n) column array. Volumetric varifolds are expanded into their
-    subcell quadrature nodes, with enough subdivisions that subcells stay
-    below eps / 4.
+    Returns (positions, projector columns, masses, group tree, group size,
+    spread). Projector column k of every atom is stored contiguously as
+    entry k of the (n, N, n) column array. Atoms ``g * size`` to
+    ``(g + 1) * size - 1`` form group g, whose centre the k-d tree holds,
+    and no atom lies farther than ``spread`` from its group centre.
+    Volumetric varifolds are expanded into their subcell quadrature nodes,
+    with enough subdivisions that subcells stay below eps / 4, and grouped
+    by cell; the atoms of an atomic varifold are groups of one.
     """
     volumetric = isinstance(varifold, VolumetricVarifold)
     if volumetric:
@@ -125,13 +138,21 @@ def _atom_cloud(varifold, query):
     if key not in varifold._caches:
         if volumetric:
             pts, proj, masses = varifold.atoms(s)
+            centres = varifold.cell_centers()
+            size = s**varifold.n
+            # subcell nodes sit (s - 1) / (2 s) of an edge from the centre
+            # on every axis
+            spread = varifold.h * (s - 1) / (2 * s)
         else:
             pts, proj, masses = (
                 varifold.positions, varifold.projectors, varifold.masses
             )
+            centres, size, spread = pts, 1, 0.0
         columns = np.ascontiguousarray(np.moveaxis(proj, 2, 0))
         columns.flags.writeable = False
-        varifold._caches[key] = (pts, columns, masses, cKDTree(pts))
+        varifold._caches[key] = (
+            pts, columns, masses, cKDTree(centres), size, spread
+        )
     return varifold._caches[key]
 
 
@@ -147,38 +168,45 @@ def _chunk_bounds(counts):
         a = b
 
 
-def _chunk_sums(cloud, query, points):
+def _chunk_sums(cloud, query, reach, points):
     """First variation and mass at a run of probes.
 
-    The run's probe-atom pairs come from one dual-tree search and are held
-    as CSR rows with sorted atom columns, so every probe sums its pairs in
-    the same order whatever run it is in.
+    The run's probe-group pairs come from one dual-tree search and expand
+    to probe-atom pairs held as CSR rows with sorted atom columns, so every
+    probe sums its pairs in the same order whatever run it is in.
     """
-    pts, columns, masses, tree = cloud
+    pts, columns, masses, tree, size, _ = cloud
     n_atoms, n = pts.shape
     eps = query.epsilon
     pair = query.pair
     found = cKDTree(points).sparse_distance_matrix(
-        tree, eps, output_type="ndarray"
+        tree, reach, output_type="ndarray"
     )
-    key = np.sort(found["i"] * n_atoms + found["j"])
-    rows, cols = np.divmod(key, n_atoms)
-    per_probe = np.bincount(rows, minlength=len(points))
+    key = np.sort(found["i"] * tree.n + found["j"])
+    rows, groups = np.divmod(key, tree.n)
+    per_probe = np.bincount(rows, minlength=len(points)) * size
     indptr = np.concatenate(([0], np.cumsum(per_probe)))
+    cols = groups
+    if size > 1:
+        # groups are runs of consecutive atoms: sorted groups sort the atoms
+        cols = (groups[:, None] * size + np.arange(size)).ravel()
     diff = np.take(pts, cols, axis=0)
     diff -= np.repeat(points, per_probe, axis=0)
     r = np.sqrt(np.einsum("pi,pi->p", diff, diff))
+    if len(r) and r.max() > eps:
+        near = r <= eps
+        indptr = np.concatenate(([0], np.cumsum(near)))[indptr]
+        near = np.flatnonzero(near)
+        cols, r = np.take(cols, near), np.take(r, near)
+        diff = np.take(diff, near, axis=0)
     u = r / eps
-    pair_masses = np.take(masses, cols)
-    # out of place: with no pairs at all, bincount returns int64
-    den = np.bincount(
-        rows, weights=pair_masses * pair.xi(u), minlength=len(points)
-    ) * eps ** (-n)
+    c = csr_matrix((pair.xi(u), cols, indptr), shape=(len(points), n_atoms))
+    # adds xi_j * m_j in pair order, from 0.0, for each probe
+    den = (c @ masses) * eps ** (-n)
     # grad rho_eps(w) = eps^-(n+1) rho'(|w|/eps) w/|w|, zero at w=0
-    w = pair_masses * pair.rho.derivative(u) / np.maximum(r, 1e-300)
+    w = np.take(masses, cols) * pair.rho.derivative(u) / np.maximum(r, 1e-300)
     w *= eps ** (-(n + 1))
     num = np.zeros((len(points), n))
-    c = csr_matrix((w, cols, indptr), shape=(len(points), n_atoms))
     for k in range(n):
         c.data = w * diff[:, k]
         num += c @ columns[k]
@@ -188,18 +216,20 @@ def _chunk_sums(cloud, query, points):
 def _pair_sums(varifold, query, points):
     """Regularized first variation and mass at each point: ((P, n), (P,))."""
     cloud = _atom_cloud(varifold, query)
-    tree = cloud[-1]
+    _, _, _, tree, size, spread = cloud
     points = np.ascontiguousarray(points, dtype=float)
     if points.shape[1] != tree.m:
         raise ValueError(f"query points must have dimension {tree.m}")
+    reach = (query.epsilon + spread) * (1.0 + _REACH_SLACK)
     order = cKDTree(points).indices
     ordered = np.take(points, order, axis=0)
     num = np.zeros((len(points), tree.m))
     den = np.zeros(len(points))
-    counts = tree.query_ball_point(ordered, query.epsilon, return_length=True)
+    # exact upper bounds on each probe's expanded pairs
+    counts = tree.query_ball_point(ordered, reach, return_length=True) * size
     for a, b in _chunk_bounds(counts):
         run = order[a:b]
-        num[run], den[run] = _chunk_sums(cloud, query, ordered[a:b])
+        num[run], den[run] = _chunk_sums(cloud, query, reach, ordered[a:b])
     return num, den
 
 

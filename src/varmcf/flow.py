@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 
+# Segment pairs held at once by self_intersects.
+_SEGMENT_BLOCK = 65_536
+
+
 class _Shrinker:
     """Round shape flowing by mean curvature: r(t)^2 = r0^2 - 2 d t."""
 
@@ -92,8 +96,10 @@ class FlowTrajectory:
 
     ``panels`` is the number of time subintervals; there are panels + 1
     snapshot times. Samples are generated lazily at a fixed resolution and
-    cached. The exact masses must be non-increasing in time, as mean
-    curvature flow demands.
+    cached by check-then-set without a lock: threads that miss together
+    each compute the same deterministic sample and one is kept, so a race
+    can only repeat work. The exact masses must be non-increasing in time,
+    as mean curvature flow demands.
     """
 
     def __init__(self, flow, t_start, t_end, panels, resolution):
@@ -206,24 +212,38 @@ def resample_polyline(vertices, count=None):
     return closed[idx] + frac[:, None] * (closed[idx + 1] - closed[idx])
 
 
+def _orientations(a, b, c):
+    """Cross products (b - a) x (c - a): segments (a, b) by points c."""
+    return (
+        (b[:, None, 0] - a[:, None, 0]) * (c[None, :, 1] - a[:, None, 1])
+        - (b[:, None, 1] - a[:, None, 1]) * (c[None, :, 0] - a[:, None, 0])
+    )
+
+
 def self_intersects(vertices):
-    """Proper-crossing test between all non-adjacent segment pairs."""
+    """Proper-crossing test between all non-adjacent segment pairs.
+
+    Segments i and j cross properly when the ends of each lie strictly on
+    opposite sides of the other. The pairs are scanned in blocks of whole
+    rows of about ``_SEGMENT_BLOCK`` pairs, so memory stays bounded for any
+    vertex count.
+    """
     v = np.asarray(vertices, dtype=float)
     p, q = _segments(v)
     m = len(v)
-
-    def ccw(a, b, c):
-        return (
-            (b[:, None, 0] - a[:, None, 0]) * (c[None, :, 1] - a[:, None, 1])
-            - (b[:, None, 1] - a[:, None, 1]) * (c[None, :, 0] - a[:, None, 0])
-        )
-
-    d1 = ccw(p, q, p)
-    d2 = ccw(p, q, q)
-    crossing = (d1 * d2 < 0) & (d1.T * d2.T < 0)
-    i = np.arange(m)
-    adjacent = (np.abs(i[:, None] - i[None, :]) % (m - 1)) <= 1
-    return bool(np.any(crossing & ~adjacent))
+    j = np.arange(m)
+    step = max(1, _SEGMENT_BLOCK // m)
+    for a in range(0, m, step):
+        b = min(a + step, m)
+        pb, qb = p[a:b], q[a:b]
+        # [i, j]: ends of segment j against segment i, then the reverse
+        ends_j = _orientations(pb, qb, p) * _orientations(pb, qb, q)
+        ends_i = (_orientations(p, q, pb) * _orientations(p, q, qb)).T
+        i = np.arange(a, b)
+        adjacent = (np.abs(i[:, None] - j[None, :]) % (m - 1)) <= 1
+        if np.any((ends_j < 0) & (ends_i < 0) & ~adjacent):
+            return True
+    return False
 
 
 def max_stable_step(vertices):

@@ -36,7 +36,13 @@ def _validate_projectors(proj, d):
 
 
 class _AtomicVarifold:
-    """Shared implementation for varifolds supported on finitely many atoms."""
+    """Shared implementation for varifolds supported on finitely many atoms.
+
+    ``_caches`` holds derived arrays (the curvature engine's atom cloud). It
+    is filled by check-then-set without a lock: threads that miss together
+    each compute the same deterministic value and one is kept, so a race
+    can only repeat work.
+    """
 
     def __init__(self, positions, projectors, masses, dim=None):
         positions = np.ascontiguousarray(positions, dtype=float)
@@ -190,6 +196,11 @@ class VolumetricVarifold:
     The spatial measure restricted to a cell is Lebesgue measure rescaled to
     carry the cell mass; integrals are evaluated with a midpoint rule on
     ``subdivisions`` subcells per axis.
+
+    Quadrature nodes, atoms and the curvature engine's atom cloud are kept
+    in ``_caches``, filled by check-then-set without a lock: threads that
+    miss together each compute the same deterministic value and one is
+    kept, so a race can only repeat work.
 
     Parameters
     ----------

@@ -16,6 +16,8 @@ from varmcf.brakke import (
     measure_curvature_consistency,
     measure_tangent_lipschitz,
 )
+from varmcf.curvature import CurvatureQuery, curvature_field
+from varmcf.discretization import Mesh, discretize
 from varmcf.flow import ShrinkingCircle
 from varmcf.geometry import Circle, Sphere
 from varmcf.kernels import default_kernel_pair
@@ -258,13 +260,54 @@ def test_brakke_residual_gamma_enforcement():
 
 
 def test_brakke_residual_threads_match_serial():
+    # Each side gets a fresh trajectory, so the threaded run fills the
+    # sample and varifold caches concurrently.
     flow = ShrinkingCircle(1.0)
-    traj = flow.trajectory(0.0, 0.125, 2, 4096)
     pair = default_kernel_pair(2, 1)
     phi = RadialBump([0.3, 0.0], 0.2, 1.4)
-    serial = brakke_residual(traj, 0.02, pair, 0.4, phi)
-    threaded = brakke_residual(traj, 0.02, pair, 0.4, phi, threads=2)
+    serial = brakke_residual(
+        flow.trajectory(0.0, 0.125, 2, 4096), 0.02, pair, 0.4, phi
+    )
+    threaded = brakke_residual(
+        flow.trajectory(0.0, 0.125, 2, 4096), 0.02, pair, 0.4, phi,
+        threads=2,
+    )
     assert serial.residual == threaded.residual
+    for key in ("mass_phi", "curvature_terms", "transport_terms",
+                "failed_per_snapshot", "min_den_over_floor"):
+        assert np.array_equal(getattr(serial, key), getattr(threaded, key))
+
+
+def test_brakke_residual_records_failures_per_snapshot():
+    flow = ShrinkingCircle(1.0)
+    traj = flow.trajectory(0.0, 0.125, 2, 2048)
+    pair = default_kernel_pair(2, 1)
+    phi = RadialBump([0.3, 0.0], 0.2, 1.4)
+    eps, edge = 0.4, 0.02
+    clean = brakke_residual(traj, edge, pair, eps, phi)
+    assert clean.failed_nodes == 0
+    assert np.array_equal(clean.failed_per_snapshot, [0, 0, 0])
+    assert np.all(clean.min_den_over_floor >= 1.0)
+    # A floor just above the smallest denominator of snapshot 0 fails at
+    # least its worst node there.
+    tau = 1e-14 * clean.min_den_over_floor[0] * (1.0 + 1e-9)
+    report = brakke_residual(traj, edge, pair, eps, phi, tau=tau)
+    mesh = Mesh(*traj.bounding_box(), edge)
+    query = CurvatureQuery(pair, eps, tau=tau)
+    for i in range(len(traj)):
+        vol = discretize(traj.sample(i), mesh)
+        pts = vol.atoms()[0]
+        active = (phi(pts) != 0.0) | np.any(phi.gradient(pts) != 0.0, axis=1)
+        field = curvature_field(vol, query, pts[active])
+        assert report.failed_per_snapshot[i] == field.n_failures
+        assert report.min_den_over_floor[i] == (
+            np.min(field.denominators) / query.floor
+        )
+    assert report.failed_per_snapshot[0] >= 1
+    assert report.min_den_over_floor[0] < 1.0
+    assert report.failed_nodes == report.failed_per_snapshot.sum()
+    assert report.as_dict().keys() == clean.as_dict().keys()
+    assert report.as_dict()["failed_nodes"] == report.failed_nodes
 
 
 def test_brakke_residual_bounds_attached():

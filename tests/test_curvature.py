@@ -159,7 +159,30 @@ def _sequential_sums(cloud, pair, eps, probes):
     return num, den
 
 
-@pytest.mark.parametrize("make_case", [_sphere_case, _volumetric_circle_case])
+def _volumetric_sphere_case(s, edge):
+    """Volumetric sphere at eps 0.3 whose edge makes the rule
+    s = max(2, subdivisions, ceil(4 h / eps)) give s, so the cell search
+    expands each cell into s^3 atoms."""
+    eps = 0.3
+    sample = Sphere(1.0).sample(64)
+    vol = discretize(sample, Mesh.covering(sample.positions, edge, pad=0.1))
+    assert max(2, math.ceil(4.0 * vol.h / eps)) == s
+    nodes = vol.atoms(s)[0]
+    probes = np.vstack([
+        Sphere(1.0).sample(8).positions[::8],
+        nodes[:: len(nodes) // 3][:3],
+        [[3.0, 3.0, 3.0]],
+    ])
+    return vol, default_kernel_pair(3, 2), eps, probes
+
+
+@pytest.mark.parametrize("make_case", [
+    _sphere_case,
+    _volumetric_circle_case,
+    *(pytest.param(lambda s=s, edge=edge: _volumetric_sphere_case(s, edge),
+                   id=f"volumetric_sphere_s{s}")
+      for s, edge in ((2, 0.0625), (3, 0.125), (4, 0.15625))),
+])
 def test_sums_follow_atom_index_order_exactly(make_case):
     varifold, pair, eps, probes = make_case()
     cloud = varifold
@@ -289,6 +312,9 @@ def test_probe_order_invariance_is_exact(monkeypatch, make_case, budget):
     "make_case", [_off_lattice_sphere_case, _volumetric_circle_case]
 )
 def test_runs_stay_within_pair_budget(monkeypatch, make_case):
+    # The search returns (probe, group) pairs; a volumetric group is a cell
+    # of s^n subcell atoms at centre distance <= eps + h (s - 1) / (2 s),
+    # an atomic group is one atom at distance <= eps.
     varifold, pair, eps, probes = make_case()
     runs = []
 
@@ -299,17 +325,25 @@ def test_runs_stay_within_pair_budget(monkeypatch, make_case):
             return found
 
     monkeypatch.setattr(curvature, "cKDTree", SpyTree)
-    cloud = varifold
     if isinstance(varifold, VolumetricVarifold):
         cloud = _expanded_cloud(varifold, eps)
+        s = round((len(cloud) / len(varifold)) ** (1 / varifold.n))
+        centres, group = varifold.cell_centers(), s**varifold.n
+        spread = varifold.h * (s - 1) / (2 * s)
+    else:
+        cloud, centres, group, spread = varifold, varifold.positions, 1, 0.0
+    reach = (eps + spread) * (1 + curvature._REACH_SLACK)
+    to_centre = np.linalg.norm(centres[None] - probes[:, None], axis=2)
     dist = np.linalg.norm(cloud.positions[None] - probes[:, None], axis=2)
+    expanded = np.sum(to_centre <= reach) * group
+    assert expanded >= np.sum(dist <= eps)
     for budget in (100, 1000):
         monkeypatch.setattr(curvature, "_PAIR_BUDGET", budget)
         runs.clear()
         curvature_field(varifold, CurvatureQuery(pair, eps), probes)
-        assert sum(size for _, size in runs) == np.sum(dist <= eps)
+        assert sum(size for _, size in runs) * group == expanded
         assert sum(count for count, _ in runs) == len(probes)
-        multi = [size for count, size in runs if count > 1]
+        multi = [size * group for count, size in runs if count > 1]
         assert multi and max(multi) <= budget
 
 
@@ -360,6 +394,56 @@ def test_kernels_see_exactly_the_pairs_in_reach(monkeypatch, make_case):
     )
     ref = curvature_field(varifold, CurvatureQuery(pair, eps), probes)
     assert np.array_equal(field.values, ref.values, equal_nan=True)
+
+
+def _single_cell(n):
+    """One volumetric cell at the origin of a dyadic mesh of edge 1/8."""
+    mesh = Mesh(np.zeros(n), np.ones(n), 0.125)
+    t = np.eye(n)[:1]
+    proj = t[:, :, None] * t[:, None, :]
+    return VolumetricVarifold(mesh, [[0] * n], [1.0], proj, subdivisions=1)
+
+
+def _corner_case_pythagorean():
+    # s = 2: the probe sits at (3/8, 1/2) from the cell's upper corner
+    # atom, exactly 5/8 = eps away, and 0.6688 from the cell centre, beyond
+    # eps but within eps + h / 4.
+    vol = _single_cell(2)
+    atom = vol.atoms(2)[0][-1]
+    return vol, 0.625, atom + np.array([0.375, 0.5])
+
+
+def _corner_case_diagonal():
+    # s = 3: the probe sits on the cell diagonal at distance eps from the
+    # lower corner atom, so the cell centre lies at eps + h / 3 up to
+    # rounding, which here falls above that radius.
+    vol = _single_cell(3)
+    eps = 0.4
+    return vol, eps, vol.atoms(3)[0][0] - eps / math.sqrt(3)
+
+
+@pytest.mark.parametrize(
+    "make_case", [_corner_case_pythagorean, _corner_case_diagonal]
+)
+def test_cell_search_reaches_corner_atom_at_exactly_eps(make_case):
+    vol, eps, probe = make_case()
+    cloud = _expanded_cloud(vol, eps)
+    s = round((len(cloud) / len(vol)) ** (1 / vol.n))
+    diff = cloud.positions - probe
+    r = np.sqrt(np.einsum("pi,pi->p", diff, diff))
+    assert np.sum(r == eps) == 1
+    to_centre = float(np.linalg.norm(vol.cell_centers()[0] - probe))
+    assert to_centre > eps
+    if make_case is _corner_case_diagonal:
+        assert to_centre > eps + vol.h * (s - 1) / (2 * s)
+    pair = default_kernel_pair(vol.n, 1)
+    spy = copy.copy(pair)
+    spy.xi = _RecordingProfile(pair.xi)
+    spy.rho = _RecordingProfile(pair.rho)
+    curvature_field(vol, CurvatureQuery(spy, eps), probe[None])
+    radii = np.concatenate(spy.xi.values)
+    assert np.array_equal(np.sort(radii), np.sort(r[r <= eps]) / eps)
+    assert np.sum(radii == 1.0) == 1
 
 
 def test_empty_probe_batch():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from varmcf import flow
 from varmcf.flow import (
     FlowTrajectory,
     SelfIntersectionError,
@@ -123,11 +124,63 @@ def test_self_intersection_detection():
     assert not self_intersects(_polygon(16))
 
 
+def _dense_self_intersects(vertices):
+    """All segment pairs at once, as three dense m x m arrays."""
+    v = np.asarray(vertices, dtype=float)
+    p, q = v, np.roll(v, -1, axis=0)
+    m = len(v)
+
+    def ccw(a, b, c):
+        return (
+            (b[:, None, 0] - a[:, None, 0]) * (c[None, :, 1] - a[:, None, 1])
+            - (b[:, None, 1] - a[:, None, 1]) * (c[None, :, 0] - a[:, None, 0])
+        )
+
+    d1 = ccw(p, q, p)
+    d2 = ccw(p, q, q)
+    crossing = (d1 * d2 < 0) & (d1.T * d2.T < 0)
+    i = np.arange(m)
+    adjacent = (np.abs(i[:, None] - i[None, :]) % (m - 1)) <= 1
+    return bool(np.any(crossing & ~adjacent))
+
+
+def _limacon(count):
+    theta = 2.0 * np.pi * np.arange(count) / count
+    r = 1.0 + 1.6 * np.cos(theta)
+    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+
+
+def _star(rng, count):
+    """A simple polygon: random radii at increasing angles."""
+    theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, count))
+    r = rng.uniform(0.5, 1.0, count)
+    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+
+
+@pytest.mark.parametrize("block", [1, 7, 50, flow._SEGMENT_BLOCK])
+def test_blocked_self_intersection_matches_dense(monkeypatch, block):
+    monkeypatch.setattr(flow, "_SEGMENT_BLOCK", block)
+    rng = np.random.default_rng(17)
+    shapes = [
+        np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]]),
+        _polygon(16),
+        _polygon(3),
+        _limacon(512),
+    ]
+    shapes += [rng.uniform(-1.0, 1.0, (count, 2)) for count in (4, 5, 9, 40)]
+    shapes += [_star(rng, count) for count in (5, 12, 60, 300)]
+    # one crossing between two far-apart segments of a simple polygon
+    folded = _star(rng, 80)
+    folded[[10, 50]] = folded[[50, 10]]
+    shapes.append(folded)
+    answers = [self_intersects(v) for v in shapes]
+    assert answers == [_dense_self_intersects(v) for v in shapes]
+    assert any(answers) and not all(answers)
+
+
 def test_flow_raises_on_self_intersection():
     # A limaçon-like curve with an inner loop pinches under the flow.
-    theta = 2.0 * np.pi * np.arange(512) / 512
-    r = 1.0 + 1.6 * np.cos(theta)
-    v = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+    v = _limacon(512)
     assert self_intersects(v)
     with pytest.raises(SelfIntersectionError):
         run_curve_shortening(v, 0.2, check_every=1)
