@@ -18,15 +18,31 @@ built on them, so consecutive probes lie close together, and cuts that
 order into runs of at most ``_PAIR_BUDGET`` candidate pairs, so memory
 stays bounded. The neighbour search runs on groups of atoms rather than on
 atoms (the cell-list method of molecular dynamics): a volumetric varifold
-is searched by cell centre, and each cell found brings in its s^n
-consecutive subcell atoms at once; an atomic varifold is the special case
-of one-atom groups. Each run takes its (probe, group) pairs from one
-dual-tree search at a reach that finds every group with an atom within
-eps, expands them to (probe, atom) pairs and keeps those with
-|x_j - y| <= eps, so kernels are evaluated only inside their support. The
-pairs of each probe are summed in increasing atom index, which fixes its
-summation order, so results do not depend on the order of the probes or on
-how they are cut into runs.
+is searched by cell centre, each cell standing for its s_a^n consecutive
+subcell atoms; an atomic varifold is the special case of one-atom groups.
+Each run takes its (probe, group) pairs from one dual-tree search at a
+reach that finds every group with an atom within eps. Each probe then
+takes one of two paths, chosen from the probe alone:
+
+* Per pair. The (probe, group) pairs expand to (probe, atom) pairs, and
+  only those with |x_j - y| <= eps reach the kernels. The pairs of each
+  probe are summed in increasing atom index.
+* Offset table. A probe that is one of the varifold's own quadrature nodes
+  (subdivisions s_p) sits at a fixed subnode p of its cell, so its
+  displacement to every atom of a cell k cells away is one of s_a^n fixed
+  vectors. A table built once per call holds, for every subnode and
+  every offset whose cell holds an atom within eps, the kernel sums over
+  the cell's subcell atoms (the lattice form of the point-cloud kernel
+  sums of Buet and Rumpf); each (probe, cell) pair gathers its entry and
+  the sums run over cells in increasing index. Its results agree with the
+  per-pair path to rounding, not bitwise. The table is used only when the
+  atoms refine the probes' quadrature (s_a > s_p; when s_a = s_p the probes
+  are atoms themselves and keep the per-pair order) and when it fits
+  ``_TABLE_BUDGET``; otherwise node probes take the per-pair path.
+
+Either way each probe's summation order is fixed by the probe, so results
+do not depend on the order of the probes, on the other probes of the batch
+or on how they are cut into runs.
 """
 
 from __future__ import annotations
@@ -56,6 +72,11 @@ _PAIR_BUDGET = 32_768
 # to group centres with its own rounding, which must not drop an atom at
 # exactly eps. Covers coordinates up to about 10^6 times the radius.
 _REACH_SLACK = 1e-9
+# Most subcell radii an offset table may span: the box of cell offsets
+# within reach, times the probe subnodes, times the subcell atoms of a cell
+# (s_p^n (2K + 1)^n s_a^n). Bounds the table's build arrays; node probes of
+# a larger table take the per-pair path.
+_TABLE_BUDGET = 1 << 20
 
 
 class DenominatorTooSmall(ValueError):
@@ -116,44 +137,133 @@ class CurvatureField:
         return int(np.sum(~self.ok))
 
 
-def _atom_cloud(varifold, query):
-    """The atoms summed over and the groups they are searched by.
+def _groups(varifold, query):
+    """Subcell count s_a per axis, atoms per group and group spread.
 
-    Returns (positions, projector columns, masses, group tree, group size,
-    spread). Projector column k of every atom is stored contiguously as
-    entry k of the (n, N, n) column array. Atoms ``g * size`` to
-    ``(g + 1) * size - 1`` form group g, whose centre the k-d tree holds,
-    and no atom lies farther than ``spread`` from its group centre.
-    Volumetric varifolds are expanded into their subcell quadrature nodes,
-    with enough subdivisions that subcells stay below eps / 4, and grouped
-    by cell; the atoms of an atomic varifold are groups of one.
+    A volumetric varifold is summed over its subcell quadrature with enough
+    subdivisions that subcells stay below eps / 4, grouped by cell: no node
+    lies farther than ``spread`` from its cell centre. The atoms of an
+    atomic varifold are groups of one (s_a is None).
     """
-    volumetric = isinstance(varifold, VolumetricVarifold)
-    if volumetric:
-        s = max(2, varifold.subdivisions,
-                math.ceil(4.0 * varifold.h / query.epsilon))
-        key = ("atom_cloud", s)
-    else:
-        key = ("atom_cloud",)
+    if not isinstance(varifold, VolumetricVarifold):
+        return None, 1, 0.0
+    s = max(2, varifold.subdivisions,
+            math.ceil(4.0 * varifold.h / query.epsilon))
+    # subcell nodes sit (s - 1) / (2 s) of an edge from the centre on
+    # every axis
+    return s, s**varifold.n, varifold.h * (s - 1) / (2 * s)
+
+
+def _group_tree(varifold):
+    """k-d tree of the search groups: cell centres or atoms. Independent of
+    eps, so every query on the varifold shares it."""
+    key = ("group_tree",)
     if key not in varifold._caches:
-        if volumetric:
-            pts, proj, masses = varifold.atoms(s)
+        if isinstance(varifold, VolumetricVarifold):
             centres = varifold.cell_centers()
-            size = s**varifold.n
-            # subcell nodes sit (s - 1) / (2 s) of an edge from the centre
-            # on every axis
-            spread = varifold.h * (s - 1) / (2 * s)
         else:
+            centres = varifold.positions
+        varifold._caches[key] = cKDTree(centres)
+    return varifold._caches[key]
+
+
+def _atom_cloud(varifold, s):
+    """The atoms summed over by the per-pair path.
+
+    Returns (positions, projector columns, masses). Projector column k of
+    every atom is stored contiguously as entry k of the (n, N, n) column
+    array. A volumetric varifold is expanded into its s^n subcell nodes per
+    cell, cell-major, so atoms ``g * s^n`` to ``(g + 1) * s^n - 1`` belong
+    to cell g.
+    """
+    key = ("atom_cloud", s)
+    if key not in varifold._caches:
+        if s is None:
             pts, proj, masses = (
                 varifold.positions, varifold.projectors, varifold.masses
             )
-            centres, size, spread = pts, 1, 0.0
+        else:
+            pts, proj, masses = varifold.atoms(s)
         columns = np.ascontiguousarray(np.moveaxis(proj, 2, 0))
         columns.flags.writeable = False
-        varifold._caches[key] = (
-            pts, columns, masses, cKDTree(centres), size, spread
-        )
+        varifold._caches[key] = (pts, columns, masses)
     return varifold._caches[key]
+
+
+def _own_nodes(varifold, points):
+    """Which probes are the varifold's own quadrature nodes.
+
+    Returns (mask, cell, sub): a probe is a node if it is bitwise equal to
+    the point ``quadrature_points`` computes for the cell and subcell index
+    recovered from it; ``cell`` and ``sub`` are the recovered indices.
+    """
+    mesh, s = varifold.mesh, varifold.subdivisions
+    step = mesh.edge / s
+    with np.errstate(invalid="ignore"):
+        t = np.floor((points - mesh.origin) / step)
+        # nan and inf fail the comparison
+        ok = np.all(np.abs(t) < 2.0**52, axis=1)
+    t = np.where(ok[:, None], t, 0.0).astype(np.int64)
+    cell, sub = np.divmod(t, s)
+    node = (mesh.origin + cell * mesh.edge) + (sub + 0.5) * step
+    ok &= np.all(node == points, axis=1)
+    return ok, cell, sub
+
+
+def _offset_table(varifold, query, s_a, reach):
+    """Subcell kernel sums of one cell by probe subnode and cell offset.
+
+    For a probe at subnode p of its cell and a cell k cells away, entry
+    (p, k) holds ``s_a^-n sum_a (xi(|d|/eps), eps^-(n+1) rho'(|d|/eps)
+    d/|d|)`` over the cell's subcell atoms a, where
+    ``d = (k + (a + 1/2)/s_a - (p + 1/2)/s_p) edge``. Offsets run over
+    [-K, K]^n with K large enough for every cell within ``reach``; only
+    offsets whose cell holds an atom within eps are evaluated, the others
+    stay zero. Returns (xi sums, (n, ...) first-variation sums, K), flat in
+    the order (p, k + K) row-major, or None if the box of offsets exceeds
+    ``_TABLE_BUDGET``.
+    """
+    n, s_p = varifold.n, varifold.subdivisions
+    edge, eps, pair = varifold.mesh.edge, query.epsilon, query.pair
+    big_k = math.ceil(reach / edge) + 1
+    side = 2 * big_k + 1
+    if (s_p * side * s_a) ** n > _TABLE_BUDGET:
+        return None
+    # per axis, in edges: offset of the cell corner from the probe
+    base = (np.arange(-big_k, big_k + 1)[None, :]
+            - (np.arange(s_p) + 0.5)[:, None] / s_p)
+    sub_a = (np.arange(s_a) + 0.5) / s_a
+    # the atoms of a cell form a product grid, so the nearest one is
+    # nearest on every axis
+    gap = (np.abs(base[:, :, None] + sub_a).min(axis=2) * edge) ** 2
+    shape = (s_p,) * n + (side,) * n
+    gap_sq = np.zeros(shape)
+    for axis in range(n):
+        dims = [1] * (2 * n)
+        dims[axis], dims[n + axis] = s_p, side
+        gap_sq = gap_sq + gap.reshape(dims)
+    kept = np.flatnonzero(gap_sq.ravel() <= eps * eps)
+    index = np.unravel_index(kept, shape)
+    corner = np.stack(
+        [base[index[axis], index[n + axis]] for axis in range(n)], axis=1
+    )
+    grid = np.meshgrid(*([sub_a] * n), indexing="ij")
+    sub = np.stack([g.ravel() for g in grid], axis=1)
+    diff = (corner[:, None, :] + sub[None, :, :]) * edge
+    diff = diff.reshape(-1, n)
+    r = np.sqrt(np.einsum("pi,pi->p", diff, diff))
+    u = r / eps
+    per_cell = s_a**n
+    size = s_p**n * side**n
+    xi_sums = np.zeros(size)
+    xi_sums[kept] = pair.xi(u).reshape(-1, per_cell).sum(axis=1) / per_cell
+    w = pair.rho.derivative(u) / np.maximum(r, 1e-300) * eps ** (-(n + 1))
+    rho_sums = np.zeros((n, size))
+    rho_sums[:, kept] = (
+        (w[:, None] * diff).reshape(-1, per_cell, n).sum(axis=1).T
+        / per_cell
+    )
+    return xi_sums, rho_sums, big_k
 
 
 def _chunk_bounds(counts):
@@ -168,30 +278,40 @@ def _chunk_bounds(counts):
         a = b
 
 
-def _chunk_sums(cloud, query, reach, points):
-    """First variation and mass at a run of probes.
-
-    The run's probe-group pairs come from one dual-tree search and expand
-    to probe-atom pairs held as CSR rows with sorted atom columns, so every
-    probe sums its pairs in the same order whatever run it is in.
-    """
-    pts, columns, masses, tree, size, _ = cloud
-    n_atoms, n = pts.shape
-    eps = query.epsilon
-    pair = query.pair
+def _group_pairs(tree, reach, points):
+    """A run's (probe, group) pairs within reach from one dual-tree search,
+    as CSR structure: row pointers and group columns sorted in each row."""
     found = cKDTree(points).sparse_distance_matrix(
         tree, reach, output_type="ndarray"
     )
     key = np.sort(found["i"] * tree.n + found["j"])
     rows, groups = np.divmod(key, tree.n)
-    per_probe = np.bincount(rows, minlength=len(points)) * size
-    indptr = np.concatenate(([0], np.cumsum(per_probe)))
-    cols = groups
+    indptr = np.concatenate(
+        ([0], np.cumsum(np.bincount(rows, minlength=len(points))))
+    )
+    return indptr, groups
+
+
+def _chunk_sums(varifold, query, s, reach, points):
+    """First variation and mass at a run of probes, pair by pair.
+
+    Each (probe, group) pair expands to (probe, atom) pairs held as CSR
+    rows with sorted atom columns, so every probe sums its pairs in the
+    same order whatever run it is in.
+    """
+    pts, columns, masses = _atom_cloud(varifold, s)
+    tree = _group_tree(varifold)
+    n_atoms, n = pts.shape
+    size = len(pts) // tree.n
+    eps = query.epsilon
+    pair = query.pair
+    indptr, cols = _group_pairs(tree, reach, points)
+    indptr = indptr * size
     if size > 1:
         # groups are runs of consecutive atoms: sorted groups sort the atoms
-        cols = (groups[:, None] * size + np.arange(size)).ravel()
+        cols = (cols[:, None] * size + np.arange(size)).ravel()
     diff = np.take(pts, cols, axis=0)
-    diff -= np.repeat(points, per_probe, axis=0)
+    diff -= np.repeat(points, np.diff(indptr), axis=0)
     r = np.sqrt(np.einsum("pi,pi->p", diff, diff))
     if len(r) and r.max() > eps:
         near = r <= eps
@@ -213,23 +333,103 @@ def _chunk_sums(cloud, query, reach, points):
     return num, den
 
 
-def _pair_sums(varifold, query, points):
-    """Regularized first variation and mass at each point: ((P, n), (P,))."""
-    cloud = _atom_cloud(varifold, query)
-    _, _, _, tree, size, spread = cloud
-    points = np.ascontiguousarray(points, dtype=float)
-    if points.shape[1] != tree.m:
-        raise ValueError(f"query points must have dimension {tree.m}")
-    reach = (query.epsilon + spread) * (1.0 + _REACH_SLACK)
-    order = cKDTree(points).indices
+def _node_chunk_sums(varifold, query, table, reach, points, probe_base):
+    """First variation and mass at a run of node probes, cell by cell.
+
+    Each (probe, cell) pair gathers its cell's subcell sums from the offset
+    table at ``probe_base + cell_base``, the flat index of its (subnode,
+    offset) entry; the gathered sums are contracted with the cell masses
+    and mass-weighted projector columns as CSR rows with sorted cell
+    columns.
+    """
+    xi_sums, rho_sums, cell_base, columns = table
+    tree = _group_tree(varifold)
+    n = varifold.n
+    indptr, cells = _group_pairs(tree, reach, points)
+    at = np.take(cell_base, cells)
+    at += np.repeat(probe_base, np.diff(indptr))
+    c = csr_matrix(
+        (np.take(xi_sums, at), cells, indptr), shape=(len(points), tree.n)
+    )
+    den = (c @ varifold.masses) * query.epsilon ** (-n)
+    num = np.zeros((len(points), n))
+    for k in range(n):
+        c.data = np.take(rho_sums[k], at)
+        num += c @ columns[k]
+    return num, den
+
+
+def _node_path(varifold, query, s, reach, points):
+    """Probes that take the offset table, the table and their flat bases.
+
+    Returns (mask, table, probe_base) with table = (xi sums, first-variation
+    sums, flat offset base of each cell, mass-weighted projector columns of
+    the cells), or (all False, None, None). The table is built only for a
+    volumetric varifold whose atoms subdivide its cells more finely than its
+    own quadrature (s_a > s_p), and only if it fits ``_TABLE_BUDGET``.
+    """
+    off = np.zeros(len(points), dtype=bool)
+    if s is None or s <= varifold.subdivisions:
+        return off, None, None
+    nodes, cell, sub = _own_nodes(varifold, points)
+    if not nodes.any():
+        return off, None, None
+    built = _offset_table(varifold, query, s, reach)
+    if built is None:
+        return off, None, None
+    xi_sums, rho_sums, big_k = built
+    n, side = varifold.n, 2 * big_k + 1
+    strides = side ** np.arange(n - 1, -1, -1)
+    # flat index of (p, k + K) is p side^n + (k + K) . strides with
+    # k = cell - probe cell: split into a probe part and a cell part
+    subnode = np.ravel_multi_index(tuple(sub.T), (varifold.subdivisions,) * n)
+    probe_base = subnode * side**n + (big_k - cell) @ strides
+    columns = np.ascontiguousarray(np.moveaxis(
+        varifold.masses[:, None, None] * varifold.projectors, 2, 0
+    ))
+    table = (xi_sums, rho_sums, varifold.cell_indices @ strides, columns)
+    return nodes, table, probe_base
+
+
+def _visit(tree, reach, points, select, size, sums, num, den):
+    """Evaluate ``sums`` at the selected probes, run by run.
+
+    The selected probes are visited in the leaf order of a k-d tree built
+    on them and cut into runs under ``_PAIR_BUDGET``; ``size`` atoms per
+    group found makes the tree's group counts an upper bound on each
+    probe's pairs. ``sums(run positions, run indices)`` returns the run's
+    first variation and mass, written into ``num`` and ``den``.
+    """
+    at = np.flatnonzero(select)
+    if not len(at):
+        return
+    order = at[cKDTree(points[at]).indices]
     ordered = np.take(points, order, axis=0)
-    num = np.zeros((len(points), tree.m))
-    den = np.zeros(len(points))
-    # exact upper bounds on each probe's expanded pairs
     counts = tree.query_ball_point(ordered, reach, return_length=True) * size
     for a, b in _chunk_bounds(counts):
         run = order[a:b]
-        num[run], den[run] = _chunk_sums(cloud, query, reach, ordered[a:b])
+        num[run], den[run] = sums(ordered[a:b], run)
+
+
+def _pair_sums(varifold, query, points):
+    """Regularized first variation and mass at each point: ((P, n), (P,))."""
+    tree = _group_tree(varifold)
+    points = np.ascontiguousarray(points, dtype=float)
+    if points.shape[1] != tree.m:
+        raise ValueError(f"query points must have dimension {tree.m}")
+    s, size, spread = _groups(varifold, query)
+    reach = (query.epsilon + spread) * (1.0 + _REACH_SLACK)
+    num = np.zeros((len(points), tree.m))
+    den = np.zeros(len(points))
+    nodes, table, probe_base = _node_path(varifold, query, s, reach, points)
+    _visit(tree, reach, points, ~nodes, size,
+           lambda run_points, run: _chunk_sums(
+               varifold, query, s, reach, run_points),
+           num, den)
+    _visit(tree, reach, points, nodes, 1,
+           lambda run_points, run: _node_chunk_sums(
+               varifold, query, table, reach, run_points, probe_base[run]),
+           num, den)
     return num, den
 
 

@@ -1,9 +1,12 @@
 import copy
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from varmcf import curvature
@@ -128,6 +131,18 @@ def _volumetric_circle_case():
     return _dyadic_circle_cells(), default_kernel_pair(2, 1), 0.2, probes
 
 
+def _own_node_circle_case():
+    """Volumetric circle with one subcell per cell (s_p = 1) probed at 24 of
+    its own quadrature nodes and at the circle's centre, which has no atom
+    in reach; at eps 0.2 its atoms subdivide each cell s_a = 4 times."""
+    sample = Circle(1.0).sample(4096)
+    mesh = Mesh(np.array([-1.5, -1.5]), np.array([1.5, 1.5]), 0.125)
+    vol = discretize(sample, mesh, subdivisions=1)
+    nodes = vol.atoms()[0]
+    probes = np.vstack([nodes[:: len(nodes) // 24][:24], [[0.0, 0.0]]])
+    return vol, default_kernel_pair(2, 1), 0.2, probes
+
+
 def _sequential_sums(cloud, pair, eps, probes):
     """Per-probe sums accumulated one pair at a time in atom index order.
 
@@ -195,7 +210,9 @@ def test_sums_follow_atom_index_order_exactly(make_case):
     assert np.array_equal(den, den_ref)
 
 
-@pytest.mark.parametrize("make_case", [_sphere_case, _volumetric_circle_case])
+@pytest.mark.parametrize(
+    "make_case", [_sphere_case, _volumetric_circle_case, _own_node_circle_case]
+)
 def test_chunking_does_not_change_sums(monkeypatch, make_case):
     varifold, pair, eps, probes = make_case()
     query = CurvatureQuery(pair, eps)
@@ -295,7 +312,8 @@ def _off_lattice_sphere_case():
 @pytest.mark.parametrize("budget", [100, 10**9])
 @pytest.mark.parametrize(
     "make_case",
-    [_sampled_circle_case, _off_lattice_sphere_case, _volumetric_circle_case],
+    [_sampled_circle_case, _off_lattice_sphere_case, _volumetric_circle_case,
+     _own_node_circle_case],
 )
 def test_probe_order_invariance_is_exact(monkeypatch, make_case, budget):
     varifold, pair, eps, probes = make_case()
@@ -394,6 +412,219 @@ def test_kernels_see_exactly_the_pairs_in_reach(monkeypatch, make_case):
     )
     ref = curvature_field(varifold, CurvatureQuery(pair, eps), probes)
     assert np.array_equal(field.values, ref.values, equal_nan=True)
+
+
+def _own_node_sphere_case(subdivisions, edge):
+    """Volumetric sphere at eps 0.3 probed at 12 of its own quadrature
+    nodes (s_p = subdivisions); the edge sets the atoms' s_a."""
+    sample = Sphere(1.0).sample(64)
+    mesh = Mesh.covering(sample.positions, edge, pad=0.1)
+    vol = discretize(sample, mesh, subdivisions=subdivisions)
+    nodes = vol.atoms()[0]
+    return vol, default_kernel_pair(3, 2), 0.3, nodes[:: len(nodes) // 12][:12]
+
+
+_OWN_NODE_CASES = [
+    _own_node_circle_case,
+    pytest.param(lambda: _own_node_sphere_case(1, 0.0625),
+                 id="own_node_sphere_sp1_sa2"),
+    pytest.param(lambda: _own_node_sphere_case(2, 0.125),
+                 id="own_node_sphere_sp2_sa3"),
+]
+
+
+def _atom_subdivisions(vol, eps):
+    return max(2, vol.subdivisions, math.ceil(4.0 * vol.h / eps))
+
+
+def _assert_relatively_close(actual, expected, tol=1e-12):
+    """Largest deviation within tol of the largest reference magnitude."""
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= tol * scale
+
+
+def _count_node_probes(monkeypatch):
+    """Record how many probes each offset-table run evaluates."""
+    seen = []
+    inner = curvature._node_chunk_sums
+
+    def spy(varifold, query, table, reach, points, probe_base):
+        seen.append(len(points))
+        return inner(varifold, query, table, reach, points, probe_base)
+
+    monkeypatch.setattr(curvature, "_node_chunk_sums", spy)
+    return seen
+
+
+@pytest.mark.parametrize("make_case", _OWN_NODE_CASES)
+def test_node_probes_match_per_pair_path(monkeypatch, make_case):
+    vol, pair, eps, probes = make_case()
+    assert _atom_subdivisions(vol, eps) > vol.subdivisions
+    nodes = curvature._own_nodes(vol, probes)[0]
+    assert np.sum(nodes) >= 12
+    query = CurvatureQuery(pair, eps)
+    seen = _count_node_probes(monkeypatch)
+    num, den = regularized_sums(vol, query, probes)
+    assert sum(seen) == np.sum(nodes)
+    monkeypatch.setattr(curvature, "_TABLE_BUDGET", 0)
+    seen.clear()
+    num_pair, den_pair = regularized_sums(vol, query, probes)
+    assert not seen
+    num_seq, den_seq = _sequential_sums(
+        _expanded_cloud(vol, eps), pair, eps, probes
+    )
+    for ref_num, ref_den in ((num_pair, den_pair), (num_seq, den_seq)):
+        _assert_relatively_close(num, ref_num)
+        _assert_relatively_close(den, ref_den)
+    # off-node probes are untouched by the table
+    assert np.array_equal(num[~nodes], num_seq[~nodes])
+    assert np.array_equal(den[~nodes], den_seq[~nodes])
+
+
+def test_probe_one_ulp_off_its_node_takes_per_pair_path(monkeypatch):
+    vol, pair, eps, probes = _own_node_circle_case()
+    node = probes[:1]
+    moved = node.copy()
+    moved[0, 1] = np.nextafter(moved[0, 1], np.inf)
+    assert curvature._own_nodes(vol, node)[0].all()
+    assert not curvature._own_nodes(vol, moved)[0].any()
+    seen = _count_node_probes(monkeypatch)
+    query = CurvatureQuery(pair, eps)
+    num, den = regularized_sums(vol, query, moved)
+    assert not seen
+    num_seq, den_seq = _sequential_sums(
+        _expanded_cloud(vol, eps), pair, eps, moved
+    )
+    assert np.array_equal(num, num_seq)
+    assert np.array_equal(den, den_seq)
+    regularized_sums(vol, query, node)
+    assert seen == [1]
+
+
+def test_mixed_batch_gives_each_probe_its_own_bits(monkeypatch):
+    vol, pair, eps, probes = _own_node_circle_case()
+    monkeypatch.setattr(curvature, "_PAIR_BUDGET", 2000)
+    rng = np.random.default_rng(5)
+    moved = probes[6:12].copy()
+    moved[:, 0] = np.nextafter(moved[:, 0], -np.inf)
+    # a few nodes among many other probes, and one without neighbours
+    batch = np.vstack([probes[:6], moved, rng.uniform(-1.2, 1.2, (12, 2)),
+                       probes[-1:]])
+    batch = batch[rng.permutation(len(batch))]
+    nodes = curvature._own_nodes(vol, batch)[0]
+    assert np.sum(nodes) == 6
+    query = CurvatureQuery(pair, eps)
+    field = curvature_field(vol, query, batch)
+    for k, probe in enumerate(batch):
+        alone = curvature_field(vol, query, probe[None])
+        assert np.array_equal(alone.values[0], field.values[k], equal_nan=True)
+        assert alone.denominators[0] == field.denominators[k]
+
+
+def test_oversized_offset_table_falls_back_to_per_pair_path(monkeypatch):
+    # The box of offsets spans (s_p (2K + 1) s_a)^n subcell radii, with
+    # K = ceil(reach / edge) + 1 cells on each side of the probe's cell.
+    vol, pair, eps, probes = _own_node_circle_case()
+    probes = probes[:-1]
+    s_a = _atom_subdivisions(vol, eps)
+    spread = vol.h * (s_a - 1) / (2 * s_a)
+    reach = (eps + spread) * (1 + curvature._REACH_SLACK)
+    side = 2 * (math.ceil(reach / vol.mesh.edge) + 1) + 1
+    box = (vol.subdivisions * side * s_a) ** vol.n
+    assert box <= curvature._TABLE_BUDGET
+    seen = _count_node_probes(monkeypatch)
+    query = CurvatureQuery(pair, eps)
+    monkeypatch.setattr(curvature, "_TABLE_BUDGET", box)
+    table_num, _ = regularized_sums(vol, query, probes)
+    assert sum(seen) == len(probes)
+    seen.clear()
+    monkeypatch.setattr(curvature, "_TABLE_BUDGET", box - 1)
+    num, den = regularized_sums(vol, query, probes)
+    assert not seen
+    num_seq, den_seq = _sequential_sums(
+        _expanded_cloud(vol, eps), pair, eps, probes
+    )
+    assert np.array_equal(num, num_seq)
+    assert np.array_equal(den, den_seq)
+    _assert_relatively_close(table_num, num_seq)
+
+
+def _table_radii(vol, eps):
+    """Brute-force radii / eps of the offset table: for every probe subnode
+    p and cell offset k whose cell has a subcell atom within eps, the
+    distances to all s_a^n atoms of that cell."""
+    n, s_p, edge = vol.n, vol.subdivisions, vol.mesh.edge
+    s_a = _atom_subdivisions(vol, eps)
+    reach = math.ceil(eps / edge) + 2
+    grid = np.meshgrid(*([np.arange(-reach, reach + 1)] * n), indexing="ij")
+    offsets = np.stack([g.ravel() for g in grid], axis=1)
+    atom_grid = np.meshgrid(*([np.arange(s_a)] * n), indexing="ij")
+    atoms = (np.stack([g.ravel() for g in atom_grid], axis=1) + 0.5) / s_a
+    radii = []
+    for p in itertools.product(range(s_p), repeat=n):
+        node = (np.array(p) + 0.5) / s_p
+        d = (offsets[:, None, :] + atoms[None, :, :] - node) * edge
+        r = np.linalg.norm(d, axis=2)
+        radii.append(r[r.min(axis=1) <= eps].ravel() / eps)
+    return np.concatenate(radii)
+
+
+@pytest.mark.parametrize("make_case", _OWN_NODE_CASES)
+def test_node_probes_call_kernels_once_on_table_radii(monkeypatch, make_case):
+    # However many runs the node probes take, pair.xi and
+    # pair.rho.derivative are each called once per call, on the radii of the
+    # offset table and nothing else.
+    vol, pair, eps, probes = make_case()
+    probes = probes[curvature._own_nodes(vol, probes)[0]]
+    monkeypatch.setattr(curvature, "_PAIR_BUDGET", 100)
+    seen = _count_node_probes(monkeypatch)
+    spy = copy.copy(pair)
+    spy.xi = _RecordingProfile(pair.xi)
+    spy.rho = _RecordingProfile(pair.rho)
+    field = curvature_field(vol, CurvatureQuery(spy, eps), probes)
+    assert len(seen) > 1
+    assert len(spy.xi.values) == len(spy.rho.derivatives) == 1
+    assert not spy.xi.derivatives and not spy.rho.values
+    radii = spy.xi.values[0]
+    assert np.array_equal(radii, spy.rho.derivatives[0])
+    expected = _table_radii(vol, eps)
+    assert len(radii) == len(expected)
+    np.testing.assert_allclose(
+        np.sort(radii), np.sort(expected), rtol=0, atol=1e-12
+    )
+    ref = curvature_field(vol, CurvatureQuery(pair, eps), probes)
+    assert np.array_equal(field.values, ref.values, equal_nan=True)
+
+
+_MIXED_VOL, _MIXED_PAIR, _MIXED_EPS, _ = _own_node_circle_case()
+_MIXED_NODES = _MIXED_VOL.atoms()[0]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.integers(0, len(_MIXED_NODES) - 1), st.booleans()),
+             max_size=12),
+    st.lists(st.tuples(*[st.floats(-1.3, 1.3)] * 2), max_size=8),
+    st.sampled_from([50, 10**9]),
+    st.randoms(use_true_random=False),
+)
+def test_probe_permutation_invariance_on_mixed_batches(
+        picks, others, budget, rand):
+    # Own nodes, nodes moved by one ulp and arbitrary points, in any order.
+    nodes = [_MIXED_NODES[k].copy() for k, _ in picks]
+    for node, (_, moved) in zip(nodes, picks):
+        if moved:
+            node[0] = np.nextafter(node[0], np.inf)
+    batch = np.array(nodes + [list(p) for p in others]).reshape(-1, 2)
+    perm = list(range(len(batch)))
+    rand.shuffle(perm)
+    query = CurvatureQuery(_MIXED_PAIR, _MIXED_EPS)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(curvature, "_PAIR_BUDGET", budget)
+        a = curvature_field(_MIXED_VOL, query, batch)
+        b = curvature_field(_MIXED_VOL, query, batch[perm])
+    assert np.array_equal(a.values[perm], b.values, equal_nan=True)
+    assert np.array_equal(a.denominators[perm], b.denominators)
 
 
 def _single_cell(n):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varmcf.discretization import (
     Mesh,
@@ -57,6 +59,45 @@ def test_discretize_conserves_mass(shape, resolution):
         total = float(np.sum(sample.weights))
         assert vol.mass_total() == pytest.approx(total, rel=1e-12)
         assert vol.d == shape.d
+
+
+def _line_samples(n):
+    """Weighted samples in [-1, 1]^n with tangent lines from integer
+    directions."""
+    point = st.tuples(
+        st.tuples(*[st.floats(-1.0, 1.0)] * n),
+        st.tuples(*[st.integers(-3, 3)] * n).filter(any),
+        st.floats(1e-3, 10.0),
+    )
+    return st.lists(point, min_size=1, max_size=40)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, 3).flatmap(lambda n: _line_samples(n)),
+    st.sampled_from([0.05, 0.3, 0.7, 2.5]),
+    st.integers(1, 3),
+)
+def test_discretize_conserves_mass_per_cell(points, edge, subdivisions):
+    positions = np.array([p for p, _, _ in points])
+    tangents = np.array([t for _, t, _ in points], dtype=float)
+    tangents /= np.linalg.norm(tangents, axis=1)[:, None]
+    weights = np.array([w for _, _, w in points])
+    projectors = tangents[:, :, None] * tangents[:, None, :]
+    sample = WeightedSample(positions, projectors, weights, 1)
+    mesh = Mesh.covering(positions, edge, pad=0.01)
+    vol = discretize(sample, mesh, subdivisions=subdivisions)
+    assert vol.mass_total() == pytest.approx(weights.sum(), rel=1e-12)
+    assert vol.mass_apply(lambda x: np.ones(len(x))) == pytest.approx(
+        weights.sum(), rel=1e-12
+    )
+    # every cell carries exactly the weight of the samples binned into it
+    cells = mesh.cell_index(positions)
+    for index, mass in zip(vol.cell_indices, vol.masses):
+        inside = np.all(cells == index, axis=1)
+        assert mass == pytest.approx(weights[inside].sum(), rel=1e-12)
+    assert sum(np.all(cells == index, axis=1).sum()
+               for index in vol.cell_indices) == len(positions)
 
 
 def test_discretize_is_order_independent():
