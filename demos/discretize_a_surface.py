@@ -5,6 +5,8 @@ tangent plane. Total mass is conserved exactly; the plane fit and the
 measure both improve linearly as the cells shrink.
 """
 
+import tempfile
+
 import numpy as np
 
 from varmcf import Circle, Mesh, SampledManifoldVarifold, discretize
@@ -33,7 +35,8 @@ for edge in (0.4, 0.2, 0.1, 0.05, 0.025):
 from varmcf.discretization import read_cells_csv, write_cells_csv
 
 vol = discretize(sample, Mesh(lo, hi, 0.1))
-write_cells_csv(vol, "/tmp/circle_cells.csv")
-back = read_cells_csv("/tmp/circle_cells.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    write_cells_csv(vol, f"{tmp}/circle_cells.csv")
+    back = read_cells_csv(f"{tmp}/circle_cells.csv")
 print(f"csv round trip: {len(back.masses)} cells, "
       f"mass {back.mass_total():.12f} vs {vol.mass_total():.12f}")

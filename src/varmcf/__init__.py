@@ -8,7 +8,6 @@ from . import (  # noqa: F401
     brakke,
     curvature,
     discretization,
-    experiments,
     flow,
     geometry,
     kernels,

@@ -7,6 +7,11 @@ significant digits), ``summary.txt``, and ``manifest.json`` recording the
 config digest, package version, seed, and resolved parameters, with no
 timestamps so reruns are byte-identical.
 
+Each kind has one reader that takes every option of the config, builds the
+library inputs through their own constructors and returns the computation
+to run; validation, diagnostics and the run all go through it, so they
+cannot disagree about a config.
+
 Exit codes: 0 success, 2 invalid configuration, 3 mesh-kernel hypothesis
 violation, 4 runtime failure.
 """
@@ -27,6 +32,7 @@ from .brakke import (
     ConstantsLedger,
     GammaHypothesisError,
     RadialBump,
+    _time_weights,
     brakke_residual,
     measure_curvature_consistency,
 )
@@ -51,15 +57,6 @@ __all__ = [
     "validate",
 ]
 
-KINDS = (
-    "curvature-convergence",
-    "discretization-stability",
-    "brakke-residual",
-    "distance-check",
-    "ahlfors-scan",
-    "constants-ledger",
-)
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
@@ -70,6 +67,21 @@ class ConfigError(ValueError):
     pass
 
 
+def _floats(parser, section, option):
+    return [float(tok) for tok in parser.get(section, option).split()]
+
+
+# How ExperimentConfig.get reads each option type, and what a bad value
+# should have been.
+_READERS = {
+    str: (configparser.ConfigParser.get, "text"),
+    int: (configparser.ConfigParser.getint, "an integer"),
+    float: (configparser.ConfigParser.getfloat, "a number"),
+    bool: (configparser.ConfigParser.getboolean, "a boolean"),
+    list: (_floats, "space-separated numbers"),
+}
+
+
 class ExperimentConfig:
     """Parsed experiment description plus the raw bytes it came from."""
 
@@ -77,13 +89,12 @@ class ExperimentConfig:
         self.parser = parser
         self.raw_bytes = raw_bytes
         self.path = path
-        try:
-            self.kind = parser.get("experiment", "kind")
-        except (configparser.NoSectionError, configparser.NoOptionError):
+        self.kind = self.get("experiment", "kind")
+        if self.kind is None:
             raise ConfigError(
                 "config needs an [experiment] section with a kind"
-            ) from None
-        self.seed = parser.getint("experiment", "seed", fallback=0)
+            )
+        self.seed = self.get("experiment", "seed", int, 0)
 
     @classmethod
     def load(cls, path):
@@ -95,46 +106,26 @@ class ExperimentConfig:
         parser = configparser.ConfigParser()
         try:
             parser.read_string(raw.decode("utf-8"))
+            cfg = cls(parser, raw, path)
+            cfg.parameters()  # resolves every %-interpolation up front
         except (UnicodeDecodeError, configparser.Error) as err:
             raise ConfigError(f"cannot parse config: {err}") from None
-        return cls(parser, raw, path)
+        return cfg
 
-    def get(self, section, option, fallback=None):
-        return self.parser.get(section, option, fallback=fallback)
+    def get(self, section, option, cast=str, fallback=None):
+        """``[section] option`` read as ``cast``; ``fallback`` when absent.
 
-    def getfloat(self, section, option, fallback=None):
-        try:
-            return self.parser.getfloat(section, option, fallback=fallback)
-        except ValueError:
-            raise ConfigError(
-                f"[{section}] {option} must be a number"
-            ) from None
-
-    def getint(self, section, option, fallback=None):
-        try:
-            return self.parser.getint(section, option, fallback=fallback)
-        except ValueError:
-            raise ConfigError(
-                f"[{section}] {option} must be an integer"
-            ) from None
-
-    def getboolean(self, section, option, fallback=None):
-        try:
-            return self.parser.getboolean(section, option, fallback=fallback)
-        except ValueError:
-            raise ConfigError(
-                f"[{section}] {option} must be a boolean"
-            ) from None
-
-    def getfloats(self, section, option, fallback=None):
-        text = self.get(section, option)
-        if text is None:
+        ``cast`` is str, int, float, bool, or list for space-separated
+        numbers. A value that does not read as ``cast`` is a ConfigError.
+        """
+        if not self.parser.has_option(section, option):
             return fallback
+        read, what = _READERS[cast]
         try:
-            return [float(tok) for tok in text.split()]
+            return read(self.parser, section, option)
         except ValueError:
             raise ConfigError(
-                f"[{section}] {option} must be space-separated numbers"
+                f"[{section}] {option} must be {what}"
             ) from None
 
     def parameters(self):
@@ -146,171 +137,42 @@ class ExperimentConfig:
         return dict(sorted(out.items()))
 
 
-def _shape_from_config(cfg):
-    name = cfg.get("shape", "name")
-    if name is None:
-        raise ConfigError("config needs a [shape] section with a name")
+def _required(cfg, section, option, cast=list):
+    value = cfg.get(section, option, cast)
+    if value is None or value == []:
+        raise ConfigError(f"[{section}] {option} is required")
+    return value
+
+
+def _shape(cfg):
+    name = _required(cfg, "shape", "name", str)
     params = {
-        opt: cfg.getfloat("shape", opt)
-        for opt, _ in cfg.parser.items("shape")
+        opt: cfg.get("shape", opt, float)
+        for opt in cfg.parser.options("shape")
         if opt != "name"
     }
     try:
         return make_shape(name, **params)
-    except (ValueError, TypeError) as err:
+    except TypeError as err:  # a parameter the shape does not take
         raise ConfigError(f"bad shape: {err}") from None
 
 
-def _pair_from_config(cfg, n, d):
+def _pair(cfg, n, d):
     name = cfg.get("kernel", "name", fallback="natural")
-    exponent = cfg.getint("kernel", "exponent", fallback=4)
-    try:
-        return make_kernel_pair(name, n, d, exponent=exponent)
-    except ValueError as err:
-        raise ConfigError(f"bad kernel: {err}") from None
+    exponent = cfg.get("kernel", "exponent", int, 4)
+    return make_kernel_pair(name, n, d, exponent=exponent)
 
 
-def _flow_from_config(cfg):
-    name = cfg.get("flow", "shape", fallback="circle")
-    radius = cfg.getfloat("flow", "radius", fallback=1.0)
-    if name == "circle":
-        return ShrinkingCircle(radius)
-    if name == "sphere":
-        return ShrinkingSphere(radius)
-    raise ConfigError(f"unknown flow shape {name!r}")
-
-
-def _bump_from_config(cfg, n):
+def _bump(cfg, n):
     section = "test-function"
-    center_text = cfg.get(section, "center", fallback=None)
-    if center_text is None:
-        center = np.zeros(n)
-    else:
-        center = np.array([float(tok) for tok in center_text.split()])
-        if len(center) != n:
-            raise ConfigError(
-                f"[{section}] center must have {n} coordinates"
-            )
-    inner = cfg.getfloat(section, "inner_radius", fallback=0.2)
-    outer = cfg.getfloat(section, "outer_radius", fallback=1.4)
-    try:
-        return RadialBump(center, inner, outer)
-    except ValueError as err:
-        raise ConfigError(f"bad test function: {err}") from None
-
-
-def validate(cfg):
-    """List of configuration problems; empty when the config is runnable."""
-    problems = []
-    if cfg.kind not in KINDS:
-        problems.append(
-            f"unknown kind {cfg.kind!r}; expected one of {', '.join(KINDS)}"
-        )
-        return problems
-    try:
-        if cfg.kind in ("curvature-convergence", "discretization-stability",
-                        "distance-check", "ahlfors-scan"):
-            _shape_from_config(cfg)
-        if cfg.kind == "curvature-convergence":
-            eps = cfg.getfloats("curvature-convergence", "epsilons")
-            if not eps:
-                problems.append("[curvature-convergence] epsilons is required")
-            elif any(not 0 < e <= 1 for e in eps):
-                problems.append("epsilons must lie in (0, 1]")
-        if cfg.kind == "discretization-stability":
-            eps = cfg.getfloat("discretization-stability", "epsilon")
-            if eps is None or not 0 < eps <= 1:
-                problems.append("[discretization-stability] epsilon in (0, 1]"
-                                " is required")
-            edges = cfg.getfloats("discretization-stability", "edges")
-            if not edges:
-                problems.append("[discretization-stability] edges is required")
-            elif any(e <= 0 for e in edges):
-                problems.append("edges must be positive")
-        if cfg.kind == "brakke-residual":
-            flow = _flow_from_config(cfg)
-            t_end = cfg.getfloat("brakke-residual", "t_end", fallback=0.125)
-            if t_end >= flow.extinction_time:
-                problems.append(
-                    f"t_end = {t_end:g} reaches extinction at "
-                    f"{flow.extinction_time:g}"
-                )
-            panels = cfg.getint("brakke-residual", "panels", fallback=16)
-            rule = cfg.get("brakke-residual", "time_rule", fallback="simpson")
-            if rule not in ("simpson", "trapezoid"):
-                problems.append(f"unknown time rule {rule!r}")
-            if rule == "simpson" and panels % 2 != 0:
-                problems.append("the simpson rule needs an even panel count")
-            eps = cfg.getfloats("brakke-residual", "epsilons")
-            if not eps:
-                problems.append("[brakke-residual] epsilons is required")
-            elif any(not 0 < e <= 1 for e in eps):
-                problems.append("epsilons must lie in (0, 1]")
-            n_amb = 3 if cfg.get("flow", "shape", fallback="circle") \
-                == "sphere" else 2
-            _bump_from_config(cfg, n_amb)
-        if cfg.kind == "ahlfors-scan":
-            radii = cfg.getfloats("ahlfors-scan", "radii")
-            if not radii:
-                problems.append("[ahlfors-scan] radii is required")
-            elif any(r <= 0 for r in radii):
-                problems.append("radii must be positive")
-        if cfg.kind == "constants-ledger":
-            _ledger_from_config(cfg)
-    except ConfigError as err:
-        problems.append(str(err))
-    return problems
-
-
-def diagnostics(cfg):
-    """Non-fatal warnings: things the run will reject later, not now."""
-    warnings = []
-    if cfg.kind != "brakke-residual" or validate(cfg):
-        return warnings
-    gamma = cfg.getfloat("brakke-residual", "gamma", fallback=None)
-    if gamma is None:
-        return warnings
-    n_amb = 3 if cfg.get("flow", "shape", fallback="circle") == "sphere" \
-        else 2
-    for e in cfg.getfloats("brakke-residual", "epsilons"):
-        h = _edge_for(cfg, e) * np.sqrt(n_amb)
-        if 2.0 * h > gamma * e:
-            warnings.append(
-                f"2h > gamma*eps at eps = {e:g} "
-                f"(2h = {2 * h:g}, gamma*eps = {gamma * e:g}); "
-                "the run will stop unless enforcement is off"
-            )
-    return warnings
-
-
-def _edge_for(cfg, epsilon):
-    """Cell edge for one kernel scale: explicit, or from h = eps^power."""
-    edge = cfg.getfloat("brakke-residual", "edge", fallback=None)
-    if edge is not None:
-        return edge
-    power = cfg.getfloat("brakke-residual", "h_power", fallback=4.0)
-    n_amb = 3 if cfg.get("flow", "shape", fallback="circle") == "sphere" \
-        else 2
-    return epsilon**power / np.sqrt(n_amb)
-
-
-def _ledger_from_config(cfg):
-    section = "constants-ledger"
-    if not cfg.parser.has_section(section):
-        raise ConfigError(f"config needs a [{section}] section")
-    required = ConstantsLedger.INPUT_FIELDS
-    values = {}
-    for name in required:
-        if name == "d":
-            values["d"] = cfg.getint(section, "d")
-        else:
-            values[name] = cfg.getfloat(section, name)
-        if values[name] is None:
-            raise ConfigError(f"[{section}] {name} is required")
-    try:
-        return ConstantsLedger(**values)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    center = cfg.get(section, "center", list, [0.0] * n)
+    if len(center) != n:
+        raise ConfigError(f"[{section}] center must have {n} coordinates")
+    return RadialBump(
+        center,
+        cfg.get(section, "inner_radius", float, 0.2),
+        cfg.get(section, "outer_radius", float, 1.4),
+    )
 
 
 def _fmt(value):
@@ -335,185 +197,287 @@ def _log_slope(xs, ys):
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def _run_curvature_convergence(cfg):
-    shape = _shape_from_config(cfg)
-    pair = _pair_from_config(cfg, shape.n, shape.d)
-    resolution = cfg.getint("curvature-convergence", "resolution",
-                            fallback=8192)
-    probes = cfg.getint("curvature-convergence", "probes", fallback=32)
-    epsilons = cfg.getfloats("curvature-convergence", "epsilons")
-    estimate, pairs = measure_curvature_consistency(
-        shape, resolution, pair, epsilons, probe_count=probes
-    )
-    rows = [(eps, err, err / eps) for eps, err in pairs]
-    slope = _log_slope([r[0] for r in rows], [r[1] for r in rows])
-    summary = [
-        f"kind = {cfg.kind}",
-        f"slope = {_fmt(slope)}",
-        f"consistency_estimate = {_fmt(estimate)}",
-    ]
-    return ("epsilon,max_error,error_over_epsilon".split(","), rows, summary)
+# Each reader below takes every option of its kind, checks it, and returns
+# (compute, warnings): compute() gives (header, rows, summary lines) and
+# warnings are the non-fatal notes of diagnostics().
 
 
-def _run_discretization_stability(cfg):
-    shape = _shape_from_config(cfg)
-    pair = _pair_from_config(cfg, shape.n, shape.d)
-    section = "discretization-stability"
-    epsilon = cfg.getfloat(section, "epsilon")
-    edges = cfg.getfloats(section, "edges")
-    resolution = cfg.getint(section, "resolution", fallback=65536)
-    probe_count = cfg.getint(section, "probes", fallback=16)
-    sample = shape.sample(resolution)
-    reference = SampledManifoldVarifold(sample)
-    probes = shape.sample(probe_count).positions
-    query = CurvatureQuery(pair, epsilon)
-    h_ref = approx_mean_curvature(reference, query, probes)
-    lo, hi = shape.bounding_box(margin=0.05)
-    rows = []
-    for edge in edges:
-        vol = discretize(sample, Mesh(lo, hi, edge))
-        h_vol = approx_mean_curvature(vol, query, probes)
-        diff = float(np.max(np.linalg.norm(h_vol - h_ref, axis=1)))
-        rows.append((vol.h, diff, diff / vol.h))
-    slope = _log_slope([r[0] for r in rows], [r[1] for r in rows])
-    summary = [
-        f"kind = {cfg.kind}",
-        f"epsilon = {_fmt(epsilon)}",
-        f"slope = {_fmt(slope)}",
-    ]
-    return ("h,max_difference,difference_over_h".split(","), rows, summary)
+def _curvature_convergence(cfg):
+    section = "curvature-convergence"
+    shape = _shape(cfg)
+    pair = _pair(cfg, shape.n, shape.d)
+    resolution = cfg.get(section, "resolution", int, 8192)
+    probes = cfg.get(section, "probes", int, 32)
+    queries = [CurvatureQuery(pair, e)
+               for e in _required(cfg, section, "epsilons")]
 
-
-def _run_brakke_residual(cfg):
-    flow = _flow_from_config(cfg)
-    section = "brakke-residual"
-    t_start = cfg.getfloat(section, "t_start", fallback=0.0)
-    t_end = cfg.getfloat(section, "t_end", fallback=0.125)
-    panels = cfg.getint(section, "panels", fallback=16)
-    resolution = cfg.getint(section, "resolution", fallback=16384)
-    rule = cfg.get(section, "time_rule", fallback="simpson")
-    gamma = cfg.getfloat(section, "gamma", fallback=None)
-    enforce = cfg.getboolean(section, "enforce_gamma", fallback=True)
-    epsilons = cfg.getfloats(section, "epsilons")
-    shape0 = flow.shape_at(t_start)
-    pair = _pair_from_config(cfg, shape0.n, shape0.d)
-    phi = _bump_from_config(cfg, shape0.n)
-    trajectory = flow.trajectory(t_start, t_end, panels, resolution)
-    rows = []
-    for eps in epsilons:
-        edge = _edge_for(cfg, eps)
-        report = brakke_residual(
-            trajectory, edge, pair, eps, phi, time_rule=rule,
-            gamma=gamma, enforce_gamma=enforce,
+    def compute():
+        estimate, pairs = measure_curvature_consistency(
+            shape, resolution, pair, [q.epsilon for q in queries],
+            probe_count=probes,
         )
-        rows.append((
-            eps,
-            report.h,
-            report.residual,
-            report.abs_residual,
-            report.mass_difference,
-            report.flux_integral,
-            report.hypothesis_satisfied
-            if report.hypothesis_satisfied is not None else "",
-            report.failed_nodes,
-        ))
-    summary = [
-        f"kind = {cfg.kind}",
-        f"time_rule = {rule}",
-        f"panels = {panels}",
-        f"max_abs_residual = "
-        f"{_fmt(max(float(r[3]) for r in rows))}",
-    ]
-    header = ("epsilon,h,residual,abs_residual,mass_difference,"
-              "flux_integral,hypothesis_satisfied,failed_nodes").split(",")
-    return (header, rows, summary)
+        rows = [(eps, err, err / eps) for eps, err in pairs]
+        slope = _log_slope([r[0] for r in rows], [r[1] for r in rows])
+        summary = [
+            f"kind = {cfg.kind}",
+            f"slope = {_fmt(slope)}",
+            f"consistency_estimate = {_fmt(estimate)}",
+        ]
+        return ("epsilon,max_error,error_over_epsilon".split(","), rows,
+                summary)
+
+    return compute, []
 
 
-def _run_distance_check(cfg):
-    shape = _shape_from_config(cfg)
-    section = "distance-check"
-    resolution = cfg.getint(section, "resolution", fallback=256)
-    edge = cfg.getfloat(section, "edge", fallback=0.1)
-    sample = shape.sample(resolution)
-    mesh = Mesh(*shape.bounding_box(margin=0.05), edge)
-    vol = discretize(sample, mesh)
-    distance = bounded_lipschitz_distance(
-        atomize(SampledManifoldVarifold(sample)), atomize(vol)
+def _discretization_stability(cfg):
+    section = "discretization-stability"
+    shape = _shape(cfg)
+    pair = _pair(cfg, shape.n, shape.d)
+    query = CurvatureQuery(pair, _required(cfg, section, "epsilon", float))
+    lo, hi = shape.bounding_box(margin=0.05)
+    meshes = [Mesh(lo, hi, edge)
+              for edge in _required(cfg, section, "edges")]
+    resolution = cfg.get(section, "resolution", int, 65536)
+    probe_count = cfg.get(section, "probes", int, 16)
+
+    def compute():
+        sample = shape.sample(resolution)
+        reference = SampledManifoldVarifold(sample)
+        probes = shape.sample(probe_count).positions
+        h_ref = approx_mean_curvature(reference, query, probes)
+        rows = []
+        for mesh in meshes:
+            vol = discretize(sample, mesh)
+            h_vol = approx_mean_curvature(vol, query, probes)
+            diff = float(np.max(np.linalg.norm(h_vol - h_ref, axis=1)))
+            rows.append((vol.h, diff, diff / vol.h))
+        slope = _log_slope([r[0] for r in rows], [r[1] for r in rows])
+        summary = [
+            f"kind = {cfg.kind}",
+            f"epsilon = {_fmt(query.epsilon)}",
+            f"slope = {_fmt(slope)}",
+        ]
+        return ("h,max_difference,difference_over_h".split(","), rows,
+                summary)
+
+    return compute, []
+
+
+def _brakke_residual(cfg):
+    flows = {"circle": ShrinkingCircle, "sphere": ShrinkingSphere}
+    name = cfg.get("flow", "shape", fallback="circle")
+    if name not in flows:
+        raise ConfigError(f"unknown flow shape {name!r}")
+    flow = flows[name](cfg.get("flow", "radius", float, 1.0))
+    section = "brakke-residual"
+    panels = cfg.get(section, "panels", int, 16)
+    trajectory = flow.trajectory(
+        cfg.get(section, "t_start", float, 0.0),
+        cfg.get(section, "t_end", float, 0.125),
+        panels,
+        cfg.get(section, "resolution", int, 16384),
     )
-    total = float(np.sum(sample.weights))
-    bound = mesh.h * total
-    rows = [(mesh.h, distance, bound, bool(distance <= bound))]
-    summary = [
-        f"kind = {cfg.kind}",
-        f"distance = {_fmt(distance)}",
-        f"bound = {_fmt(bound)}",
-        f"within_bound = {'yes' if distance <= bound else 'no'}",
+    rule = cfg.get(section, "time_rule", fallback="simpson")
+    _time_weights(trajectory.times, rule)  # checks the rule and panels
+    shape0 = trajectory.shape(0)
+    pair = _pair(cfg, shape0.n, shape0.d)
+    phi = _bump(cfg, shape0.n)
+    gamma = cfg.get(section, "gamma", float)
+    enforce = cfg.get(section, "enforce_gamma", bool, True)
+    # cell edge per kernel scale: explicit, or from h = eps^power
+    edge = cfg.get(section, "edge", float)
+    power = cfg.get(section, "h_power", float, 4.0)
+    lo, hi = trajectory.bounding_box()
+    scales = []
+    for eps in _required(cfg, section, "epsilons"):
+        query = CurvatureQuery(pair, eps)  # eps in (0, 1] before eps**power
+        scale_edge = eps**power / np.sqrt(shape0.n) if edge is None else edge
+        scales.append((query, Mesh(lo, hi, scale_edge)))
+    warnings = [
+        f"2h > gamma*eps at eps = {q.epsilon:g} "
+        f"(2h = {2 * mesh.h:g}, gamma*eps = {gamma * q.epsilon:g}); "
+        "the run will stop unless enforcement is off"
+        for q, mesh in scales
+        if gamma is not None and 2.0 * mesh.h > gamma * q.epsilon
     ]
-    return ("h,distance,bound,within_bound".split(","), rows, summary)
+
+    def compute():
+        rows = []
+        for query, mesh in scales:
+            report = brakke_residual(
+                trajectory, mesh.edge, pair, query.epsilon, phi,
+                time_rule=rule, gamma=gamma, enforce_gamma=enforce,
+            )
+            rows.append((
+                query.epsilon,
+                report.h,
+                report.residual,
+                report.abs_residual,
+                report.mass_difference,
+                report.flux_integral,
+                report.hypothesis_satisfied
+                if report.hypothesis_satisfied is not None else "",
+                report.failed_nodes,
+            ))
+        summary = [
+            f"kind = {cfg.kind}",
+            f"time_rule = {rule}",
+            f"panels = {panels}",
+            f"max_abs_residual = "
+            f"{_fmt(max(float(r[3]) for r in rows))}",
+        ]
+        header = ("epsilon,h,residual,abs_residual,mass_difference,"
+                  "flux_integral,hypothesis_satisfied,failed_nodes").split(",")
+        return (header, rows, summary)
+
+    return compute, warnings
 
 
-def _run_ahlfors_scan(cfg):
-    shape = _shape_from_config(cfg)
+def _distance_check(cfg):
+    section = "distance-check"
+    shape = _shape(cfg)
+    resolution = cfg.get(section, "resolution", int, 256)
+    mesh = Mesh(*shape.bounding_box(margin=0.05),
+                cfg.get(section, "edge", float, 0.1))
+
+    def compute():
+        sample = shape.sample(resolution)
+        vol = discretize(sample, mesh)
+        distance = bounded_lipschitz_distance(
+            atomize(SampledManifoldVarifold(sample)), atomize(vol)
+        )
+        total = float(np.sum(sample.weights))
+        bound = mesh.h * total
+        rows = [(mesh.h, distance, bound, bool(distance <= bound))]
+        summary = [
+            f"kind = {cfg.kind}",
+            f"distance = {_fmt(distance)}",
+            f"bound = {_fmt(bound)}",
+            f"within_bound = {'yes' if distance <= bound else 'no'}",
+        ]
+        return ("h,distance,bound,within_bound".split(","), rows, summary)
+
+    return compute, []
+
+
+def _ahlfors_scan(cfg):
     section = "ahlfors-scan"
-    resolution = cfg.getint(section, "resolution", fallback=4096)
-    radii = cfg.getfloats(section, "radii")
-    max_probes = cfg.getint(section, "max_probes", fallback=64)
-    v = SampledManifoldVarifold.from_shape(shape, resolution)
-    scan = ahlfors_scan(v, shape.d, radii, max_probes=max_probes)
-    rows = []
-    for probe, radius, ball, ratio in scan:
-        rows.append(tuple(probe) + (radius, ball, ratio))
-    estimate = max(r[-1] for r in rows)
-    header = [f"x{i + 1}" for i in range(shape.n)] + [
-        "radius", "ball_mass", "ratio"
-    ]
-    summary = [
-        f"kind = {cfg.kind}",
-        f"regularity_estimate = {_fmt(estimate)}",
-    ]
-    return (header, rows, summary)
+    shape = _shape(cfg)
+    resolution = cfg.get(section, "resolution", int, 4096)
+    radii = _required(cfg, section, "radii")
+    if any(r <= 0 for r in radii):
+        raise ConfigError("radii must be positive")
+    max_probes = cfg.get(section, "max_probes", int, 64)
+
+    def compute():
+        v = SampledManifoldVarifold.from_shape(shape, resolution)
+        scan = ahlfors_scan(v, shape.d, radii, max_probes=max_probes)
+        rows = []
+        for probe, radius, ball, ratio in scan:
+            rows.append(tuple(probe) + (radius, ball, ratio))
+        estimate = max(r[-1] for r in rows)
+        header = [f"x{i + 1}" for i in range(shape.n)] + [
+            "radius", "ball_mass", "ratio"
+        ]
+        summary = [
+            f"kind = {cfg.kind}",
+            f"regularity_estimate = {_fmt(estimate)}",
+        ]
+        return (header, rows, summary)
+
+    return compute, []
 
 
-def _run_constants_ledger(cfg):
-    ledger = _ledger_from_config(cfg)
-    rows = [(name, value) for name, value in ledger.as_dict().items()]
-    summary = [
-        f"kind = {cfg.kind}",
-        f"combined_rate_coeff = {_fmt(ledger.combined_rate_coeff)}",
-        f"weak_bound_coeff = {_fmt(ledger.weak_bound_coeff)}",
-    ]
-    return (["name", "value"], rows, summary)
+def _constants_ledger(cfg):
+    section = "constants-ledger"
+    ledger = ConstantsLedger(**{
+        name: _required(cfg, section, name, int if name == "d" else float)
+        for name in ConstantsLedger.INPUT_FIELDS
+    })
+
+    def compute():
+        rows = [(name, value) for name, value in ledger.as_dict().items()]
+        summary = [
+            f"kind = {cfg.kind}",
+            f"combined_rate_coeff = {_fmt(ledger.combined_rate_coeff)}",
+            f"weak_bound_coeff = {_fmt(ledger.weak_bound_coeff)}",
+        ]
+        return (["name", "value"], rows, summary)
+
+    return compute, []
 
 
-_RUNNERS = {
-    "curvature-convergence": _run_curvature_convergence,
-    "discretization-stability": _run_discretization_stability,
-    "brakke-residual": _run_brakke_residual,
-    "distance-check": _run_distance_check,
-    "ahlfors-scan": _run_ahlfors_scan,
-    "constants-ledger": _run_constants_ledger,
+_KINDS = {
+    "curvature-convergence": _curvature_convergence,
+    "discretization-stability": _discretization_stability,
+    "brakke-residual": _brakke_residual,
+    "distance-check": _distance_check,
+    "ahlfors-scan": _ahlfors_scan,
+    "constants-ledger": _constants_ledger,
 }
 
 
-def run(cfg, out_dir, seed=None):
-    """Execute a validated config; writes results, summary, and manifest.
+def _read(cfg):
+    """(compute, warnings) for a config; ConfigError if it cannot run.
 
-    Returns the process exit code.
+    The library constructors check their own ranges; the ValueError they
+    raise while the config is read, or the OverflowError of an extreme
+    ``h_power``, becomes a ConfigError.
     """
-    problems = validate(cfg)
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
+    if cfg.kind not in _KINDS:
+        raise ConfigError(
+            f"unknown kind {cfg.kind!r}; expected one of {', '.join(_KINDS)}"
+        )
+    try:
+        return _KINDS[cfg.kind](cfg)
+    except ConfigError:
+        raise
+    except (ValueError, OverflowError) as err:
+        raise ConfigError(str(err)) from None
+
+
+def validate(cfg):
+    """Configuration problems; empty when the config is runnable.
+
+    Reading stops at the first problem, so at most one is listed.
+    """
+    try:
+        _read(cfg)
+    except ConfigError as err:
+        return [str(err)]
+    return []
+
+
+def diagnostics(cfg):
+    """Non-fatal warnings: things the run will reject later, not now.
+
+    Empty for an invalid config, whose problems come from validate().
+    """
+    try:
+        return _read(cfg)[1]
+    except ConfigError:
+        return []
+
+
+def run(cfg, out_dir, seed=None):
+    """Execute a config; writes results, summary, and manifest.
+
+    Returns the process exit code. A config error is reported before any
+    file is written.
+    """
+    try:
+        compute, _ = _read(cfg)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     seed = cfg.seed if seed is None else int(seed)
     out_dir = Path(out_dir)
     try:
-        header, rows, summary = _RUNNERS[cfg.kind](cfg)
+        header, rows, summary = compute()
     except GammaHypothesisError as err:
         print(f"hypothesis violation: {err}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (DenominatorTooSmall, ConfigError, ValueError,
-            RuntimeError) as err:
+    except (DenominatorTooSmall, ValueError, RuntimeError) as err:
         print(f"runtime failure: {err}", file=sys.stderr)
         return EXIT_RUNTIME
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -554,16 +518,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = ExperimentConfig.load(args.config)
+        if args.validate_only:
+            _, warnings = _read(cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     if args.validate_only:
-        problems = validate(cfg)
-        if problems:
-            for p in problems:
-                print(f"config error: {p}", file=sys.stderr)
-            return EXIT_CONFIG
-        for w in diagnostics(cfg):
+        for w in warnings:
             print(f"warning: {w}")
         print("config ok")
         return EXIT_OK

@@ -207,9 +207,13 @@ def test_missing_section_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_unreadable_and_unparseable_configs():
+def test_unreadable_and_unparseable_configs(tmp_path):
     with pytest.raises(ConfigError):
         ExperimentConfig.load("/no/such/config.ini")
+    for bad in ("seed = abc", "note = 50%"):
+        path = _write(tmp_path, LEDGER_CONFIG.replace("seed = 7", bad))
+        with pytest.raises(ConfigError):
+            ExperimentConfig.load(path)
 
 
 def test_gamma_diagnostic_is_warning_not_error(tmp_path):
@@ -286,6 +290,7 @@ def test_cli_validate_only(tmp_path):
     proc = _cli([str(path), "--validate-only"], tmp_path)
     assert proc.returncode == 0
     assert "config ok" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
     bad = _write(tmp_path, "[experiment]\nkind = nonsense\n", "bad.ini")
     proc = _cli([str(bad), "--validate-only"], tmp_path)
     assert proc.returncode == 2
@@ -333,3 +338,49 @@ def test_cli_seed_flag_overrides_config(tmp_path):
     proc = _cli([str(path), "--out", str(out), "--seed", "99"], tmp_path)
     assert proc.returncode == 0
     assert json.loads((out / "manifest.json").read_text())["seed"] == 99
+
+
+# Each config is wrong in a way the config alone decides.
+BAD_CONFIGS = {
+    "resolution-not-integer": """\
+[experiment]
+kind = curvature-convergence
+
+[shape]
+name = circle
+
+[curvature-convergence]
+resolution = abc
+epsilons = 0.4
+""",
+    "gamma-not-number": BRAKKE_CONFIG.format(extra="gamma = lots"),
+    "center-not-numbers": BRAKKE_CONFIG.replace(
+        "center = 0.3 0.0", "center = 0.3 zero"
+    ).format(extra=""),
+    "t-start-after-t-end": BRAKKE_CONFIG.replace(
+        "t_start = 0.0", "t_start = 0.1"
+    ).format(extra=""),
+    "zero-edge": DISTANCE_CONFIG.replace("edge = 0.2", "edge = 0"),
+    "unknown-kernel": BRAKKE_CONFIG.replace(
+        "name = natural", "name = gauss"
+    ).format(extra=""),
+    "enforce-not-boolean": BRAKKE_CONFIG.format(extra="enforce_gamma = maybe"),
+    "edge-overflows": BRAKKE_CONFIG.format(extra="h_power = -2000"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_exits_two_before_writing(tmp_path, capsys, name):
+    path = _write(tmp_path, BAD_CONFIGS[name])
+    cfg = ExperimentConfig.load(path)
+    assert validate(cfg)
+    out = tmp_path / "out"
+    assert run(cfg, out) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    proc = _cli([str(path), "--validate-only"], tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    # the check reports the very problem the run stops on
+    assert proc.stderr == err
