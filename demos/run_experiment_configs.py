@@ -22,21 +22,22 @@ epsilons = 0.4 0.2 0.1
 probes = 16
 """
 
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="varmcf-demo-"))
-cfg_path = workdir / "convergence.ini"
-cfg_path.write_text(CONFIG)
+with tempfile.TemporaryDirectory(prefix="varmcf-demo-") as tmp:
+    workdir = pathlib.Path(tmp)
+    cfg_path = workdir / "convergence.ini"
+    cfg_path.write_text(CONFIG)
 
-cfg = ExperimentConfig.load(cfg_path)
-problems = validate(cfg)
-print(f"validate: {problems if problems else 'ok'}")
+    cfg = ExperimentConfig.load(cfg_path)
+    problems = validate(cfg)
+    print(f"validate: {problems if problems else 'ok'}")
 
-code = run(cfg, workdir / "out")
-print(f"exit status {code}")
-print((workdir / "out" / "results.csv").read_text())
-print((workdir / "out" / "summary.txt").read_text())
+    code = run(cfg, workdir / "out")
+    print(f"exit status {code}")
+    print((workdir / "out" / "results.csv").read_text())
+    print((workdir / "out" / "summary.txt").read_text())
 
-# rerun and compare bytes
-code = run(cfg, workdir / "again")
-same = (workdir / "out" / "results.csv").read_bytes() == \
-    (workdir / "again" / "results.csv").read_bytes()
-print(f"rerun byte-identical: {same}")
+    # rerun and compare bytes
+    code = run(cfg, workdir / "again")
+    same = (workdir / "out" / "results.csv").read_bytes() == \
+        (workdir / "again" / "results.csv").read_bytes()
+    print(f"rerun byte-identical: {same}")

@@ -23,6 +23,7 @@ from scipy.spatial import cKDTree
 
 from .curvature import CurvatureQuery, curvature_field
 from .discretization import Mesh, discretize
+from .varifold import SampledManifoldVarifold
 
 __all__ = [
     "RadialBump",
@@ -359,8 +360,6 @@ def measure_curvature_consistency(shape, resolution, pair, epsilons,
     Returns (estimate, rows) where rows are (eps, max error) pairs over
     probe points on the shape and the estimate is max(error / eps).
     """
-    from .varifold import SampledManifoldVarifold
-
     v = SampledManifoldVarifold.from_shape(shape, resolution)
     probes = shape.sample(probe_count).positions
     h_true = shape.mean_curvature(probes)
@@ -529,14 +528,22 @@ def _thread_count(threads):
     return 1
 
 
+def _atom_terms(masses, phi_vals, grad_vals, h_vals):
+    """Mass, curvature, and transport integrals as sums over atoms."""
+    h_sq = np.einsum("ki,ki->k", h_vals, h_vals)
+    return (
+        float(np.sum(masses * phi_vals)),
+        float(np.sum(masses * phi_vals * h_sq)),
+        float(np.sum(masses * np.einsum("ki,ki->k", grad_vals, h_vals))),
+    )
+
+
 def _snapshot_terms(volumetric, query, phi):
     """Mass, curvature, and transport integrals of one snapshot, with its
     failed-node count and smallest denominator over the floor."""
     pts, _, per_node = volumetric.atoms()
     phi_vals = phi(pts)
     grad_vals = phi.gradient(pts)
-    mass_phi = float(np.sum(per_node * phi_vals))
-
     active = (phi_vals != 0.0) | np.any(grad_vals != 0.0, axis=1)
     h_vals = np.zeros_like(grad_vals)
     failed = 0
@@ -548,12 +555,8 @@ def _snapshot_terms(volumetric, query, phi):
         filled = field.values.copy()
         filled[~field.ok] = 0.0
         h_vals[active] = filled
-    h_sq = np.einsum("ki,ki->k", h_vals, h_vals)
-    curvature_term = float(np.sum(per_node * phi_vals * h_sq))
-    transport_term = float(
-        np.sum(per_node * np.einsum("ki,ki->k", grad_vals, h_vals))
-    )
-    return mass_phi, curvature_term, transport_term, failed, margin
+    terms = _atom_terms(per_node, phi_vals, grad_vals, h_vals)
+    return (*terms, failed, margin)
 
 
 def brakke_residual(trajectory, edge, pair, epsilon, phi,
@@ -630,25 +633,11 @@ def exact_flow_residual(trajectory, phi, time_rule="simpson"):
     order of the chosen rule.
     """
     weights = _time_weights(trajectory.times, time_rule)
-    mass_phi = []
-    curvature_terms = []
-    transport_terms = []
+    terms = []
     for i in range(len(trajectory.times)):
-        sample = trajectory.sample(i)
-        shape = trajectory.shape(i)
-        w = sample.weights
-        pts = sample.positions
-        phi_vals = phi(pts)
-        grad_vals = phi.gradient(pts)
-        h_vals = shape.mean_curvature(pts)
-        mass_phi.append(float(np.sum(w * phi_vals)))
-        curvature_terms.append(
-            float(np.sum(w * phi_vals * np.einsum("ki,ki->k", h_vals, h_vals)))
-        )
-        transport_terms.append(
-            float(np.sum(w * np.einsum("ki,ki->k", grad_vals, h_vals)))
-        )
-    return ResidualReport(
-        trajectory.times, mass_phi, curvature_terms, transport_terms,
-        weights, time_rule,
-    )
+        pts, _, w = trajectory.sample(i).atoms()
+        terms.append(_atom_terms(
+            w, phi(pts), phi.gradient(pts),
+            trajectory.shape(i).mean_curvature(pts),
+        ))
+    return ResidualReport(trajectory.times, *zip(*terms), weights, time_rule)

@@ -178,12 +178,7 @@ def _atom_cloud(varifold, s):
     """
     key = ("atom_cloud", s)
     if key not in varifold._caches:
-        if s is None:
-            pts, proj, masses = (
-                varifold.positions, varifold.projectors, varifold.masses
-            )
-        else:
-            pts, proj, masses = varifold.atoms(s)
+        pts, proj, masses = varifold.atoms(s)
         columns = np.ascontiguousarray(np.moveaxis(proj, 2, 0))
         columns.flags.writeable = False
         varifold._caches[key] = (pts, columns, masses)

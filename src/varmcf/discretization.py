@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .varifold import VolumetricVarifold
+from .varifold import VolumetricVarifold, _plane_dim
 
 __all__ = [
     "Mesh",
@@ -106,19 +106,12 @@ class Mesh:
 def discretize(sample, mesh, subdivisions=2):
     """Bin a weighted sample into a :class:`VolumetricVarifold`.
 
-    ``sample`` needs positions, projectors, and per-point weights (any
-    object shaped like ``WeightedSample`` or an atomic varifold works).
-    Binning is order-independent: points are grouped by cell with a stable
-    sort before any accumulation.
+    ``sample`` is any set with ``atoms()``: a ``WeightedSample`` or an
+    atomic varifold. Binning is order-independent: points are grouped by
+    cell with a stable sort before any accumulation.
     """
-    positions = sample.positions
-    projectors = sample.projectors
-    weights = getattr(sample, "weights", None)
-    if weights is None:
-        weights = sample.masses
-    d = getattr(sample, "dim", None)
-    if d is None:
-        d = sample.d
+    positions, projectors, weights = sample.atoms()
+    d = _plane_dim(projectors)
     if positions.shape[1] != mesh.n:
         raise ValueError(
             f"sample dimension {positions.shape[1]} != mesh dimension {mesh.n}"
@@ -161,8 +154,9 @@ def tangent_fit_quality(sample, volumetric):
     Measures how well a single plane per cell represents the sample's
     tangent field; decays linearly in the cell size for smooth surfaces.
     """
+    positions, projectors, weights = sample.atoms()
     mesh = volumetric.mesh
-    idx = mesh.cell_index(sample.positions)
+    idx = mesh.cell_index(positions)
     lin = np.ravel_multi_index(tuple(idx.T), tuple(mesh.counts))
     cell_lin = np.ravel_multi_index(
         tuple(volumetric.cell_indices.T), tuple(mesh.counts)
@@ -172,10 +166,7 @@ def tangent_fit_quality(sample, volumetric):
         raise ValueError(
             "sample occupies a cell absent from the volumetric varifold"
         )
-    weights = getattr(sample, "weights", None)
-    if weights is None:
-        weights = sample.masses
-    diff = sample.projectors - volumetric.projectors[pos]
+    diff = projectors - volumetric.projectors[pos]
     dist = np.sqrt(np.einsum("kij,kij->k", diff, diff))
     total = float(np.sum(weights))
     if total == 0:

@@ -346,8 +346,7 @@ def _distance_check(cfg):
         distance = bounded_lipschitz_distance(
             atomize(SampledManifoldVarifold(sample)), atomize(vol)
         )
-        total = float(np.sum(sample.weights))
-        bound = mesh.h * total
+        bound = mesh.h * sample.total_weight()
         rows = [(mesh.h, distance, bound, bool(distance <= bound))]
         summary = [
             f"kind = {cfg.kind}",

@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ellipe
 
+from .varifold import _no_cells, _WeightedAtoms
+
 __all__ = [
     "Plane",
     "WeightedSample",
@@ -116,11 +118,12 @@ def projector_distance(p, q):
     return float(np.linalg.norm(a - b, "fro"))
 
 
-class WeightedSample:
+class WeightedSample(_WeightedAtoms):
     """Point sample of a surface: positions, tangent projectors, weights.
 
     Weights are quadrature weights for the d-dimensional surface measure,
-    so ``weights.sum()`` approximates the total measure.
+    so ``weights.sum()`` approximates the total measure. The sample's atoms
+    carry its weights as masses, so it has the varifold integrals.
     """
 
     __slots__ = ("positions", "projectors", "weights", "dim")
@@ -149,8 +152,12 @@ class WeightedSample:
     def __len__(self):
         return len(self.positions)
 
-    def total_weight(self):
-        return float(np.sum(self.weights))
+    def atoms(self, subdivisions=None):
+        """The stored (positions, projectors, weights), without a copy."""
+        _no_cells(subdivisions)
+        return self.positions, self.projectors, self.weights
+
+    total_weight = _WeightedAtoms.mass_total
 
 
 class AnalyticShape:
@@ -211,6 +218,15 @@ class AnalyticShape:
             )
 
 
+def _center(center, n):
+    """A read-only copy of ``center``, checked to be a point of R^n."""
+    center = np.array(center, dtype=float)
+    if center.shape != (n,):
+        raise ValueError(f"center must be a point in R^{n}")
+    center.flags.writeable = False
+    return center
+
+
 class Circle(AnalyticShape):
     """Circle of given radius and center in R^2."""
 
@@ -221,10 +237,7 @@ class Circle(AnalyticShape):
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.radius = float(radius)
-        self.center = np.asarray(center, dtype=float).copy()
-        if self.center.shape != (2,):
-            raise ValueError("center must be a point in R^2")
-        self.center.flags.writeable = False
+        self.center = _center(center, 2)
 
     def mean_curvature(self, y):
         pts, single = _as_points(y, 2)
@@ -282,8 +295,7 @@ class Ellipse(AnalyticShape):
             raise ValueError("semi-axes must be positive")
         self.a = float(a)
         self.b = float(b)
-        self.center = np.asarray(center, dtype=float).copy()
-        self.center.flags.writeable = False
+        self.center = _center(center, 2)
 
     def _theta_of(self, pts):
         rel = pts - self.center
@@ -367,10 +379,7 @@ class Sphere(AnalyticShape):
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.radius = float(radius)
-        self.center = np.asarray(center, dtype=float).copy()
-        if self.center.shape != (3,):
-            raise ValueError("center must be a point in R^3")
-        self.center.flags.writeable = False
+        self.center = _center(center, 3)
 
     def _check(self, pts):
         rel = pts - self.center
@@ -441,8 +450,7 @@ class Torus(AnalyticShape):
             raise ValueError("need 0 < minor_radius < major_radius")
         self.major_radius = float(major_radius)
         self.minor_radius = float(minor_radius)
-        self.center = np.asarray(center, dtype=float).copy()
-        self.center.flags.writeable = False
+        self.center = _center(center, 3)
 
     def _angles_of(self, pts):
         rel = pts - self.center

@@ -22,8 +22,6 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .varifold import VolumetricVarifold
-
 __all__ = [
     "AtomicMeasure",
     "atomize",
@@ -81,19 +79,15 @@ class AtomicMeasure:
 def atomize(obj, subdivisions=None):
     """Spatial mass measure of a varifold (or sample) as an atomic measure.
 
-    Volumetric varifolds are expanded to their midpoint subcell nodes, each
-    node carrying an equal share of its cell's mass; the node cloud lies
-    within ``mesh.h`` of any point of the represented measure.
+    ``obj`` is an ``AtomicMeasure`` (returned as is) or any set with
+    ``atoms()``. Volumetric varifolds are expanded to their midpoint subcell
+    nodes, each node carrying an equal share of its cell's mass; the node
+    cloud lies within ``mesh.h`` of any point of the represented measure.
     """
     if isinstance(obj, AtomicMeasure):
         return obj
-    if isinstance(obj, VolumetricVarifold):
-        pts, _, masses = obj.atoms(subdivisions)
-        return AtomicMeasure(pts, masses)
-    weights = getattr(obj, "weights", None)
-    if weights is None:
-        weights = obj.masses
-    return AtomicMeasure(obj.positions, weights)
+    pts, _, masses = obj.atoms(subdivisions)
+    return AtomicMeasure(pts, masses)
 
 
 def _merged_signed_difference(mu, nu):

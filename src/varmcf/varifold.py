@@ -35,14 +35,63 @@ def _validate_projectors(proj, d):
         raise ValueError(f"projector traces must equal {d} within 1e-10")
 
 
-class _AtomicVarifold:
-    """Shared implementation for varifolds supported on finitely many atoms.
+def _plane_dim(projectors):
+    """Dimension of the planes of rank-d projectors: the first one's trace."""
+    if len(projectors) == 0:
+        raise ValueError("cannot infer the dimension of an empty set")
+    return int(round(float(np.trace(projectors[0]))))
 
-    ``_caches`` holds derived arrays (the curvature engine's atom cloud). It
-    is filled by check-then-set without a lock: threads that miss together
-    each compute the same deterministic value and one is kept, so a race
-    can only repeat work.
+
+def _no_cells(subdivisions):
+    if subdivisions is not None:
+        raise ValueError("an atomic set has no cells to subdivide")
+
+
+class _WeightedAtoms:
+    """The varifold integrals of a set given by ``atoms()``.
+
+    ``atoms(subdivisions=None)`` returns read-only (positions, projectors,
+    masses) of shapes (N, n), (N, n, n) and (N,); every integral is a
+    mass-weighted sum over these atoms.
+
+    The varifolds keep derived arrays (quadrature nodes, atoms, the
+    curvature engine's atom cloud and search tree) in ``_caches``, filled
+    by check-then-set without a lock: threads that miss together each
+    compute the same deterministic value and one is kept, so a race can
+    only repeat work.
     """
+
+    __slots__ = ()
+
+    def mass_total(self):
+        """Total mass of the spatial measure."""
+        return float(np.sum(self.atoms()[2]))
+
+    def mass_apply(self, phi):
+        """Integrate a scalar function of position against the mass measure."""
+        pts, _, masses = self.atoms()
+        return float(np.sum(masses * np.asarray(phi(pts))))
+
+    def varifold_apply(self, f):
+        """Integrate f(position, plane) against the full varifold."""
+        pts, proj, masses = self.atoms()
+        return float(np.sum(masses * np.asarray(f(pts, proj))))
+
+    def first_variation(self, field):
+        """Integral of the tangential divergence of a C^1 vector field.
+
+        The tangential divergence at an atom is trace(P J) with J the field
+        Jacobian; for a sampled closed surface this equals -int H . X up to
+        quadrature error.
+        """
+        pts, proj, masses = self.atoms()
+        jac = np.asarray(field.jacobian(pts))
+        div = np.einsum("kij,kji->k", proj, jac)
+        return float(np.sum(masses * div))
+
+
+class _AtomicVarifold(_WeightedAtoms):
+    """Shared implementation for varifolds supported on finitely many atoms."""
 
     def __init__(self, positions, projectors, masses, dim=None):
         positions = np.ascontiguousarray(positions, dtype=float)
@@ -65,9 +114,7 @@ class _AtomicVarifold:
             positions[keep], projectors[keep], masses[keep]
         )
         if dim is None:
-            if len(masses) == 0:
-                raise ValueError("cannot infer dimension from an empty varifold")
-            dim = int(round(float(np.trace(projectors[0]))))
+            dim = _plane_dim(projectors)
         _validate_projectors(projectors, dim)
         for arr in (positions, projectors, masses):
             arr.flags.writeable = False
@@ -84,29 +131,10 @@ class _AtomicVarifold:
     def __len__(self):
         return len(self.masses)
 
-    def mass_total(self):
-        """Total mass of the spatial measure."""
-        return float(np.sum(self.masses))
-
-    def mass_apply(self, phi):
-        """Integrate a scalar function of position against the mass measure."""
-        return float(np.sum(self.masses * np.asarray(phi(self.positions))))
-
-    def varifold_apply(self, f):
-        """Integrate f(position, plane) against the full varifold."""
-        vals = np.asarray(f(self.positions, self.projectors))
-        return float(np.sum(self.masses * vals))
-
-    def first_variation(self, field):
-        """Integral of the tangential divergence of a C^1 vector field.
-
-        The tangential divergence at an atom is trace(P J) with J the field
-        Jacobian; for a sampled closed surface this equals -int H . X up to
-        quadrature error.
-        """
-        jac = np.asarray(field.jacobian(self.positions))
-        div = np.einsum("kij,kji->k", self.projectors, jac)
-        return float(np.sum(self.masses * div))
+    def atoms(self, subdivisions=None):
+        """The stored (positions, projectors, masses), without a copy."""
+        _no_cells(subdivisions)
+        return self.positions, self.projectors, self.masses
 
 
 class PointCloudVarifold(_AtomicVarifold):
@@ -190,17 +218,12 @@ class SampledManifoldVarifold(_AtomicVarifold):
         return cls(shape.sample(resolution))
 
 
-class VolumetricVarifold:
+class VolumetricVarifold(_WeightedAtoms):
     """Cell-based varifold: per cell a mass and a single tangent plane.
 
     The spatial measure restricted to a cell is Lebesgue measure rescaled to
     carry the cell mass; integrals are evaluated with a midpoint rule on
-    ``subdivisions`` subcells per axis.
-
-    Quadrature nodes, atoms and the curvature engine's atom cloud are kept
-    in ``_caches``, filled by check-then-set without a lock: threads that
-    miss together each compute the same deterministic value and one is
-    kept, so a race can only repeat work.
+    ``subdivisions`` subcells per axis, i.e. over ``atoms()``.
 
     Parameters
     ----------
@@ -243,7 +266,7 @@ class VolumetricVarifold:
                 raise ValueError("duplicate cell indices")
         if len(masses) == 0:
             raise ValueError("volumetric varifold has no cells")
-        d = int(round(float(np.trace(projectors[0]))))
+        d = _plane_dim(projectors)
         _validate_projectors(projectors, d)
         subdivisions = int(subdivisions)
         if subdivisions < 1:
@@ -317,37 +340,12 @@ class VolumetricVarifold:
             self._caches[key] = (pts, proj, masses)
         return self._caches[key]
 
-    def mass_total(self):
-        return float(np.sum(self.masses))
-
-    def mass_apply(self, phi, subdivisions=None):
-        """Integrate a scalar function against the cell-spread mass measure."""
-        s = self.subdivisions if subdivisions is None else int(subdivisions)
-        pts, _ = self.quadrature_points(s)
-        vals = np.asarray(phi(pts)).reshape(len(self), -1)
-        return float(np.sum(self.masses * vals.mean(axis=1)))
-
-    def varifold_apply(self, f, subdivisions=None):
-        pts, proj, _ = self.atoms(subdivisions)
-        vals = np.asarray(f(pts, proj)).reshape(len(self), -1)
-        return float(np.sum(self.masses * vals.mean(axis=1)))
-
-    def first_variation(self, field, subdivisions=None):
-        """Cell-quadrature integral of the tangential divergence of a field."""
-        pts, proj, _ = self.atoms(subdivisions)
-        jac = np.asarray(field.jacobian(pts))
-        div = np.einsum("kij,kji->k", proj, jac)
-        div = div.reshape(len(self), -1)
-        return float(np.sum(self.masses * div.mean(axis=1)))
-
 
 def _basis_from_projectors(projectors, d):
     """Orthonormal tangent bases (N, d, n) extracted from projectors."""
-    vals, vecs = np.linalg.eigh(projectors)
+    _, vecs = np.linalg.eigh(projectors)
     # eigh sorts ascending; the top-d eigenvectors span the plane.
-    basis = np.swapaxes(vecs[..., -d:], -1, -2)
-    del vals
-    return basis
+    return np.swapaxes(vecs[..., -d:], -1, -2)
 
 
 def _fmt(v):

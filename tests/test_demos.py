@@ -20,3 +20,5 @@ def test_demo_runs(demo, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    # the demo leaves nothing behind in its working or temporary directory
+    assert not any(tmp_path.iterdir()), sorted(tmp_path.iterdir())

@@ -310,10 +310,8 @@ def test_cli_exit_codes(tmp_path):
     assert proc.returncode == 3
     assert "hypothesis violation" in proc.stderr
 
-    # probes fall between support atoms, outside every kernel ball
-    starved = _write(
-        tmp_path,
-        """\
+    # fewer than 8 probes: the probe sample itself is refused at run time
+    starved = """\
 [experiment]
 kind = curvature-convergence
 
@@ -323,13 +321,18 @@ name = circle
 [curvature-convergence]
 resolution = 64
 epsilons = 0.02
-probes = 7
-""",
-        "starved.ini",
-    )
-    proc = _cli([str(starved), "--out", str(tmp_path / "s")], tmp_path)
+probes = {probes}
+"""
+    few = _write(tmp_path, starved.format(probes=7), "few.ini")
+    proc = _cli([str(few), "--out", str(tmp_path / "f")], tmp_path)
     assert proc.returncode == 4
-    assert "runtime failure" in proc.stderr
+    assert "runtime failure: resolution must be at least 8" in proc.stderr
+
+    # probes fall between support atoms, outside every kernel ball
+    between = _write(tmp_path, starved.format(probes=9), "starved.ini")
+    proc = _cli([str(between), "--out", str(tmp_path / "s")], tmp_path)
+    assert proc.returncode == 4
+    assert "runtime failure: curvature evaluation failed" in proc.stderr
 
 
 def test_cli_seed_flag_overrides_config(tmp_path):

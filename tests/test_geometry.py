@@ -76,6 +76,23 @@ def test_off_shape_point_rejected():
         ellipse.tangent_projector(np.array([1.6, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "make, n",
+    [
+        (lambda c: Circle(1.0, c), 2),
+        (lambda c: Ellipse(1.0, 2.0, c), 2),
+        (lambda c: Sphere(1.0, c), 3),
+        (lambda c: Torus(center=c), 3),
+    ],
+    ids=["circle", "ellipse", "sphere", "torus"],
+)
+def test_wrong_length_center_rejected(make, n):
+    message = rf"center must be a point in R\^{n}"
+    for length in (n - 1, n + 1):
+        with pytest.raises(ValueError, match=message):
+            make((0.0,) * length)
+
+
 def test_resolution_floor():
     with pytest.raises(ValueError, match="at least 8"):
         Circle().sample(4)
