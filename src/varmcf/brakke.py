@@ -19,8 +19,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+from .cells import CellList
 from .curvature import CurvatureQuery, curvature_field
 from .discretization import Mesh, discretize
 from .varifold import SampledManifoldVarifold
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 _NORM_GRID_SIZE = 20001
-# Point pairs held at once by measure_tangent_lipschitz.
+# Candidate point pairs held at once by measure_tangent_lipschitz.
 _PAIR_BLOCK = 65_536
 
 
@@ -380,21 +380,20 @@ def measure_curvature_consistency(shape, resolution, pair, epsilons,
 def measure_tangent_lipschitz(shape, resolution, max_separation=0.1):
     """Largest projector distance to point distance ratio at short range.
 
-    Candidate pairs come from a k-d tree at a radius a hair above
-    ``max_separation``; the distances are then recomputed and held to
-    ``0 < dist <= max_separation`` exactly, so the tree's own rounding does
-    not decide which pairs count. Pairs are processed in blocks of
-    ``_PAIR_BLOCK`` to bound memory.
+    Candidate pairs come from a cell list of the sample searched against
+    itself at a radius a hair above ``max_separation``; the distances are
+    then recomputed and held to ``0 < dist <= max_separation`` exactly, so
+    the search's own rounding does not decide which pairs count. Pairs are
+    found in runs of at most ``_PAIR_BLOCK`` candidates to bound memory.
     """
     sample = shape.sample(resolution)
     pts = sample.positions
     proj = sample.projectors
-    pairs = cKDTree(pts).query_pairs(
-        max_separation * (1.0 + 1e-9), output_type="ndarray"
-    )
+    cells = CellList(pts, max_separation * (1.0 + 1e-9))
     best = 0.0
-    for a in range(0, len(pairs), _PAIR_BLOCK):
-        i, j = pairs[a:a + _PAIR_BLOCK].T
+    for run, indptr, j in cells.runs(pts, _PAIR_BLOCK):
+        i = np.repeat(run, np.diff(indptr))
+        i, j = i[i < j], j[i < j]
         diff = np.take(pts, i, axis=0) - np.take(pts, j, axis=0)
         dist = np.sqrt(np.einsum("pi,pi->p", diff, diff))
         pdiff = np.take(proj, i, axis=0) - np.take(proj, j, axis=0)

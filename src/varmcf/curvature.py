@@ -13,16 +13,16 @@ mean curvature as eps shrinks. Volumetric varifolds are evaluated through
 their midpoint subcell quadrature, refined automatically when the cell size
 is not small compared to eps.
 
-Evaluation at many points visits the probes in the leaf order of a k-d tree
-built on them, so consecutive probes lie close together, and cuts that
-order into runs of at most ``_PAIR_BUDGET`` candidate pairs, so memory
-stays bounded. The neighbour search runs on groups of atoms rather than on
-atoms (the cell-list method of molecular dynamics): a volumetric varifold
-is searched by cell centre, each cell standing for its s_a^n consecutive
-subcell atoms; an atomic varifold is the special case of one-atom groups.
-Each run takes its (probe, group) pairs from one dual-tree search at a
-reach that finds every group with an atom within eps. Each probe then
-takes one of two paths, chosen from the probe alone:
+The neighbour search is a cell list (``cells.CellList``, the linked-cell
+method of molecular dynamics) over groups of atoms, cached on the varifold
+per search reach: a volumetric varifold is searched by cell centre, each
+cell standing for its s_a^n consecutive subcell atoms; an atomic varifold
+is the special case of one-atom groups. The probes are visited in the
+order of the list's blocks, so consecutive probes lie close together, and
+cut into runs of at most ``_PAIR_BUDGET`` candidate pairs, so memory stays
+bounded. Each run takes the (probe, group) pairs within a reach that finds
+every group with an atom within eps. Each probe then takes one of two
+paths, chosen from the probe alone:
 
 * Per pair. The (probe, group) pairs expand to (probe, atom) pairs, and
   only those with |x_j - y| <= eps reach the kernels. The pairs of each
@@ -47,13 +47,12 @@ or on how they are cut into runs.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.spatial import cKDTree
 
+from .cells import CellList
 from .varifold import VolumetricVarifold
 
 __all__ = [
@@ -63,14 +62,13 @@ __all__ = [
     "regularized_sums",
     "approx_mean_curvature",
     "curvature_field",
-    "write_curvature_csv",
 ]
 
 # Most probe-atom pairs held at once; bounds the per-chunk pair arrays.
 _PAIR_BUDGET = 32_768
-# Relative widening of the group search radius: the tree measures distances
-# to group centres with its own rounding, which must not drop an atom at
-# exactly eps. Covers coordinates up to about 10^6 times the radius.
+# Relative widening of the group search radius: block indices and centre
+# distances are rounded, which must not drop an atom at exactly eps. Covers
+# coordinates up to about 10^6 times the radius.
 _REACH_SLACK = 1e-9
 # Most subcell radii an offset table may span: the box of cell offsets
 # within reach, times the probe subnodes, times the subcell atoms of a cell
@@ -152,19 +150,6 @@ def _groups(varifold, query):
     # subcell nodes sit (s - 1) / (2 s) of an edge from the centre on
     # every axis
     return s, s**varifold.n, varifold.h * (s - 1) / (2 * s)
-
-
-def _group_tree(varifold):
-    """k-d tree of the search groups: cell centres or atoms. Independent of
-    eps, so every query on the varifold shares it."""
-    key = ("group_tree",)
-    if key not in varifold._caches:
-        if isinstance(varifold, VolumetricVarifold):
-            centres = varifold.cell_centers()
-        else:
-            centres = varifold.positions
-        varifold._caches[key] = cKDTree(centres)
-    return varifold._caches[key]
 
 
 def _atom_cloud(varifold, s):
@@ -261,46 +246,18 @@ def _offset_table(varifold, query, s_a, reach):
     return xi_sums, rho_sums, big_k
 
 
-def _chunk_bounds(counts):
-    """Cut probes into runs of at most _PAIR_BUDGET pairs (or one probe)."""
-    ends = np.cumsum(counts)
-    a = 0
-    while a < len(counts):
-        before = ends[a - 1] if a else 0
-        b = int(np.searchsorted(ends, before + _PAIR_BUDGET, side="right"))
-        b = max(b, a + 1)
-        yield a, b
-        a = b
-
-
-def _group_pairs(tree, reach, points):
-    """A run's (probe, group) pairs within reach from one dual-tree search,
-    as CSR structure: row pointers and group columns sorted in each row."""
-    found = cKDTree(points).sparse_distance_matrix(
-        tree, reach, output_type="ndarray"
-    )
-    key = np.sort(found["i"] * tree.n + found["j"])
-    rows, groups = np.divmod(key, tree.n)
-    indptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(rows, minlength=len(points))))
-    )
-    return indptr, groups
-
-
-def _chunk_sums(varifold, query, s, reach, points):
+def _chunk_sums(varifold, query, s, points, indptr, cols):
     """First variation and mass at a run of probes, pair by pair.
 
-    Each (probe, group) pair expands to (probe, atom) pairs held as CSR
-    rows with sorted atom columns, so every probe sums its pairs in the
-    same order whatever run it is in.
+    Each (probe, group) pair of the run's CSR structure expands to (probe,
+    atom) pairs held as CSR rows with sorted atom columns, so every probe
+    sums its pairs in the same order whatever run it is in.
     """
     pts, columns, masses = _atom_cloud(varifold, s)
-    tree = _group_tree(varifold)
     n_atoms, n = pts.shape
-    size = len(pts) // tree.n
+    size = n_atoms // len(varifold)
     eps = query.epsilon
     pair = query.pair
-    indptr, cols = _group_pairs(tree, reach, points)
     indptr = indptr * size
     if size > 1:
         # groups are runs of consecutive atoms: sorted groups sort the atoms
@@ -328,26 +285,22 @@ def _chunk_sums(varifold, query, s, reach, points):
     return num, den
 
 
-def _node_chunk_sums(varifold, query, table, reach, points, probe_base):
+def _node_chunk_sums(varifold, query, table, probe_base, indptr, cells):
     """First variation and mass at a run of node probes, cell by cell.
 
-    Each (probe, cell) pair gathers its cell's subcell sums from the offset
-    table at ``probe_base + cell_base``, the flat index of its (subnode,
-    offset) entry; the gathered sums are contracted with the cell masses
-    and mass-weighted projector columns as CSR rows with sorted cell
-    columns.
+    Each (probe, cell) pair of the run's CSR structure gathers its cell's
+    subcell sums from the offset table at ``probe_base + cell_base``, the
+    flat index of its (subnode, offset) entry; the gathered sums are
+    contracted with the cell masses and mass-weighted projector columns.
     """
     xi_sums, rho_sums, cell_base, columns = table
-    tree = _group_tree(varifold)
     n = varifold.n
-    indptr, cells = _group_pairs(tree, reach, points)
     at = np.take(cell_base, cells)
     at += np.repeat(probe_base, np.diff(indptr))
-    c = csr_matrix(
-        (np.take(xi_sums, at), cells, indptr), shape=(len(points), tree.n)
-    )
+    c = csr_matrix((np.take(xi_sums, at), cells, indptr),
+                   shape=(len(probe_base), len(varifold)))
     den = (c @ varifold.masses) * query.epsilon ** (-n)
-    num = np.zeros((len(points), n))
+    num = np.zeros((len(probe_base), n))
     for k in range(n):
         c.data = np.take(rho_sums[k], at)
         num += c @ columns[k]
@@ -386,45 +339,40 @@ def _node_path(varifold, query, s, reach, points):
     return nodes, table, probe_base
 
 
-def _visit(tree, reach, points, select, size, sums, num, den):
-    """Evaluate ``sums`` at the selected probes, run by run.
-
-    The selected probes are visited in the leaf order of a k-d tree built
-    on them and cut into runs under ``_PAIR_BUDGET``; ``size`` atoms per
-    group found makes the tree's group counts an upper bound on each
-    probe's pairs. ``sums(run positions, run indices)`` returns the run's
-    first variation and mass, written into ``num`` and ``den``.
-    """
-    at = np.flatnonzero(select)
-    if not len(at):
-        return
-    order = at[cKDTree(points[at]).indices]
-    ordered = np.take(points, order, axis=0)
-    counts = tree.query_ball_point(ordered, reach, return_length=True) * size
-    for a, b in _chunk_bounds(counts):
-        run = order[a:b]
-        num[run], den[run] = sums(ordered[a:b], run)
-
-
 def _pair_sums(varifold, query, points):
     """Regularized first variation and mass at each point: ((P, n), (P,))."""
-    tree = _group_tree(varifold)
+    n = varifold.n
     points = np.ascontiguousarray(points, dtype=float)
-    if points.shape[1] != tree.m:
-        raise ValueError(f"query points must have dimension {tree.m}")
+    if points.shape[1] != n:
+        raise ValueError(f"query points must have dimension {n}")
+    bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1))
+    if len(bad):
+        raise ValueError(f"query points must be finite; row {bad[0]} is "
+                         f"{points[bad[0]]}")
     s, size, spread = _groups(varifold, query)
     reach = (query.epsilon + spread) * (1.0 + _REACH_SLACK)
-    num = np.zeros((len(points), tree.m))
+    key = ("cell_list", reach)
+    if key not in varifold._caches:
+        centres = varifold.positions if s is None else varifold.cell_centers()
+        varifold._caches[key] = CellList(centres, reach)
+    cells = varifold._caches[key]
+    num = np.zeros((len(points), n))
     den = np.zeros(len(points))
     nodes, table, probe_base = _node_path(varifold, query, s, reach, points)
-    _visit(tree, reach, points, ~nodes, size,
-           lambda run_points, run: _chunk_sums(
-               varifold, query, s, reach, run_points),
-           num, den)
-    _visit(tree, reach, points, nodes, 1,
-           lambda run_points, run: _node_chunk_sums(
-               varifold, query, table, reach, run_points, probe_base[run]),
-           num, den)
+    # (probes, atoms per candidate group, sums over a run's pairs): the
+    # candidate counts times the atoms per group bound each probe's pairs
+    paths = (
+        (~nodes, size, lambda run, *pairs: _chunk_sums(
+            varifold, query, s, points[run], *pairs)),
+        (nodes, 1, lambda run, *pairs: _node_chunk_sums(
+            varifold, query, table, probe_base[run], *pairs)),
+    )
+    for select, per_group, sums in paths:
+        at = np.flatnonzero(select)
+        for run, indptr, groups in cells.runs(points[at], _PAIR_BUDGET,
+                                              per_group):
+            run = at[run]
+            num[run], den[run] = sums(run, indptr, groups)
     return num, den
 
 
@@ -467,24 +415,3 @@ def approx_mean_curvature(varifold, query, points):
             batch[worst], field.denominators[worst], query.floor
         )
     return field.values[0] if single else field.values
-
-
-def write_curvature_csv(field, path):
-    """Table of query point, curvature vector, denominator, and status."""
-    n = field.points.shape[1]
-    header = (
-        [f"x{i + 1}" for i in range(n)]
-        + [f"H{i + 1}" for i in range(n)]
-        + ["denominator", "status"]
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(len(field)):
-            status = "ok" if field.ok[k] else "small_denominator"
-            row = (
-                [f"{v:.17g}" for v in field.points[k]]
-                + [f"{v:.17g}" for v in field.values[k]]
-                + [f"{field.denominators[k]:.17g}", status]
-            )
-            writer.writerow(row)

@@ -29,7 +29,6 @@ __all__ = [
     "max_stable_step",
     "curve_shortening_step",
     "run_curve_shortening",
-    "write_trajectory_csv",
     "write_polyline_csv",
 ]
 
@@ -300,21 +299,6 @@ def run_curve_shortening(vertices, duration, dt=None, resample_every=10,
             times.append(t)
             history.append(v.copy())
     return np.asarray(times), history
-
-
-def write_trajectory_csv(trajectory, path):
-    """Snapshot table for an exact shrinker: time, mass, radius."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "mass", "radius"])
-        for i, t in enumerate(trajectory.times):
-            writer.writerow(
-                [
-                    f"{t:.17g}",
-                    f"{trajectory.exact_mass(i):.17g}",
-                    f"{trajectory.flow.radius_at(t):.17g}",
-                ]
-            )
 
 
 def write_polyline_csv(times, history, path):

@@ -18,9 +18,10 @@ optimum (two unit atoms at distance 3 have distance 6/5, not 2).
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 __all__ = [
     "AtomicMeasure",
@@ -35,6 +36,17 @@ __all__ = [
 # scipy 1.17.1 on x86-64, 40,000 to 360,000 rows), so the cap keeps one solve
 # near 1.6 GiB.
 MAX_SLOPE_ROWS = 1_000_000
+
+
+def __getattr__(name):
+    # scipy.optimize loads on the first use of ``linprog`` (PEP 562), so
+    # importing the package does not pay for it
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        globals()["linprog"] = linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class AtomicMeasure:
@@ -166,8 +178,11 @@ def bounded_lipschitz_distance(mu, nu):
     objective = np.zeros(k + 2)
     objective[:k] = -c  # linprog minimizes
     bounds = [(-1.0, 1.0)] * k + [(0.0, 1.0), (0.0, 1.0)]
-    res = linprog(
+    # looked up on the module, where a test or profiler may replace it;
+    # presolve removes little from this program and costs more than it saves
+    res = sys.modules[__name__].linprog(
         objective, A_ub=a_ub, b_ub=rhs, bounds=bounds, method="highs",
+        options={"presolve": False},
     )
     if res.status != 0:
         raise RuntimeError(f"distance LP failed: {res.message}")

@@ -27,7 +27,7 @@ _PROJ_TOL = 1e-10
 def _validate_projectors(proj, d):
     if np.max(np.abs(proj - np.swapaxes(proj, -1, -2))) > 1e-12:
         raise ValueError("projectors must be symmetric within 1e-12")
-    pp = np.einsum("...ij,...jl->...il", proj, proj)
+    pp = np.matmul(proj, proj)
     if np.max(np.abs(pp - proj)) > _PROJ_TOL:
         raise ValueError("projectors must be idempotent within 1e-10")
     traces = np.einsum("...ii->...", proj)
@@ -55,7 +55,7 @@ class _WeightedAtoms:
     mass-weighted sum over these atoms.
 
     The varifolds keep derived arrays (quadrature nodes, atoms, the
-    curvature engine's atom cloud and search tree) in ``_caches``, filled
+    curvature engine's atom cloud and cell lists) in ``_caches``, filled
     by check-then-set without a lock: threads that miss together each
     compute the same deterministic value and one is kept, so a race can
     only repeat work.

@@ -7,16 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
-from varmcf import curvature
+from varmcf import cells, curvature
 from varmcf.curvature import (
     CurvatureQuery,
     DenominatorTooSmall,
     approx_mean_curvature,
     curvature_field,
     regularized_sums,
-    write_curvature_csv,
 )
 from varmcf.discretization import Mesh, discretize
 from varmcf.geometry import Circle, Sphere
@@ -335,14 +333,14 @@ def test_runs_stay_within_pair_budget(monkeypatch, make_case):
     # an atomic group is one atom at distance <= eps.
     varifold, pair, eps, probes = make_case()
     runs = []
+    inner = cells.CellList.runs
 
-    class SpyTree(cKDTree):
-        def sparse_distance_matrix(self, other, *args, **kwargs):
-            found = super().sparse_distance_matrix(other, *args, **kwargs)
-            runs.append((self.n, len(found)))
-            return found
+    def spy(self, points, budget, size=1):
+        for run, indptr, groups in inner(self, points, budget, size):
+            runs.append((run, np.repeat(run, np.diff(indptr)), groups))
+            yield run, indptr, groups
 
-    monkeypatch.setattr(curvature, "cKDTree", SpyTree)
+    monkeypatch.setattr(cells.CellList, "runs", spy)
     if isinstance(varifold, VolumetricVarifold):
         cloud = _expanded_cloud(varifold, eps)
         s = round((len(cloud) / len(varifold)) ** (1 / varifold.n))
@@ -353,15 +351,22 @@ def test_runs_stay_within_pair_budget(monkeypatch, make_case):
     reach = (eps + spread) * (1 + curvature._REACH_SLACK)
     to_centre = np.linalg.norm(centres[None] - probes[:, None], axis=2)
     dist = np.linalg.norm(cloud.positions[None] - probes[:, None], axis=2)
-    expanded = np.sum(to_centre <= reach) * group
-    assert expanded >= np.sum(dist <= eps)
-    for budget in (100, 1000):
+    in_reach = set(zip(*np.nonzero(to_centre <= reach)))
+    assert len(in_reach) * group >= np.sum(dist <= eps)
+    # runs are cut by candidate counts, which exceed the pairs found: at a
+    # budget of 100 every sphere probe would take a run of its own
+    for budget in (300, 1000):
         monkeypatch.setattr(curvature, "_PAIR_BUDGET", budget)
         runs.clear()
         curvature_field(varifold, CurvatureQuery(pair, eps), probes)
-        assert sum(size for _, size in runs) * group == expanded
-        assert sum(count for count, _ in runs) == len(probes)
-        multi = [size * group for count, size in runs if count > 1]
+        visited = np.concatenate([run for run, _, _ in runs])
+        assert np.array_equal(np.sort(visited), np.arange(len(probes)))
+        found = [found_pair for _, rows, groups in runs
+                 for found_pair in zip(rows, groups)]
+        assert len(found) == len(in_reach)
+        assert set(found) == in_reach
+        multi = [len(groups) * group for run, _, groups in runs
+                 if len(run) > 1]
         assert multi and max(multi) <= budget
 
 
@@ -448,9 +453,9 @@ def _count_node_probes(monkeypatch):
     seen = []
     inner = curvature._node_chunk_sums
 
-    def spy(varifold, query, table, reach, points, probe_base):
-        seen.append(len(points))
-        return inner(varifold, query, table, reach, points, probe_base)
+    def spy(varifold, query, table, probe_base, indptr, found):
+        seen.append(len(probe_base))
+        return inner(varifold, query, table, probe_base, indptr, found)
 
     monkeypatch.setattr(curvature, "_node_chunk_sums", spy)
     return seen
@@ -703,6 +708,45 @@ def test_run_without_neighbours_fails_cleanly(monkeypatch):
         assert not np.any(field.ok)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_probes_raise_before_any_search(monkeypatch, bad):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(cells.CellList, "runs", no_search)
+    for varifold, pair, eps, probes in (
+        _off_lattice_sphere_case(), _own_node_circle_case()
+    ):
+        batch = probes[:5].copy()
+        batch[3, 1] = bad
+        with pytest.raises(ValueError,
+                           match="query points must be finite; row 3"):
+            curvature_field(varifold, CurvatureQuery(pair, eps), batch)
+
+
+def test_finite_probes_off_the_grid_fail_cleanly():
+    for varifold, pair, eps, probes in (
+        _off_lattice_sphere_case(), _volumetric_circle_case()
+    ):
+        n = varifold.n
+        query = CurvatureQuery(pair, eps)
+        huge = np.full((3, n), 1e300)
+        huge[1] *= -1.0
+        huge[2, 1:] = 0.0
+        field = curvature_field(varifold, query, np.vstack([probes[:2], huge]))
+        assert list(field.ok) == [True, True, False, False, False]
+        assert np.array_equal(field.denominators[2:], np.zeros(3))
+        with pytest.raises(DenominatorTooSmall):
+            approx_mean_curvature(varifold, query, huge[0])
+
+
+def test_block_grid_too_large_to_index_raises():
+    # eps 1e-7 bins the unit sphere into about (4e7)^3 blocks
+    varifold, pair, _, probes = _off_lattice_sphere_case()
+    with pytest.raises(ValueError, match="overflows int64 indices"):
+        curvature_field(varifold, CurvatureQuery(pair, 1e-7), probes)
+
+
 def test_atom_permutation_invariance():
     shape = Circle(1.0)
     sample = shape.sample(1024)
@@ -773,21 +817,6 @@ def test_epsilon_validation():
         CurvatureQuery(pair, 1.5)
     with pytest.raises(ValueError, match="tau"):
         CurvatureQuery(pair, 0.5, tau=0.0)
-
-
-def test_curvature_csv(tmp_path):
-    shape = Circle(1.0)
-    v = SampledManifoldVarifold.from_shape(shape, 256)
-    query = CurvatureQuery(default_kernel_pair(2, 1), 0.1)
-    probes = np.array([[1.0, 0.0], [5.0, 5.0]])
-    field = curvature_field(v, query, probes)
-    path = tmp_path / "field.csv"
-    write_curvature_csv(field, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,x2,H1,H2,denominator,status"
-    assert len(lines) == 3
-    assert lines[1].endswith("ok")
-    assert lines[2].endswith("small_denominator")
 
 
 def test_large_batch_performance():

@@ -16,7 +16,6 @@ from varmcf.flow import (
     run_curve_shortening,
     self_intersects,
     write_polyline_csv,
-    write_trajectory_csv,
 )
 
 
@@ -184,18 +183,6 @@ def test_flow_raises_on_self_intersection():
     assert self_intersects(v)
     with pytest.raises(SelfIntersectionError):
         run_curve_shortening(v, 0.2, check_every=1)
-
-
-def test_trajectory_csv(tmp_path):
-    flow = ShrinkingCircle(1.0)
-    traj = flow.trajectory(0.0, 0.125, 4, 64)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "time,mass,radius"
-    assert len(lines) == 6
-    last = lines[-1].split(",")
-    assert float(last[2]) == pytest.approx(np.sqrt(0.75), rel=1e-15)
 
 
 def test_polyline_csv(tmp_path):
