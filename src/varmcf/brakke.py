@@ -9,7 +9,7 @@ so the residual of the time-integrated identity measures how far a
 discrete trajectory is from flowing by its regularized mean curvature.
 This module assembles that residual for volumetric snapshots, evaluates
 the feasibility and rate constants that bound it, and provides the radial
-C^2 test functions and vector fields used throughout.
+C^2 test functions used throughout.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ from .varifold import SampledManifoldVarifold
 
 __all__ = [
     "RadialBump",
-    "ConstantVectorField",
-    "LinearVectorField",
-    "BumpVectorField",
     "ConstantsLedger",
     "constants_ledger",
     "gamma_feasible",
@@ -129,52 +126,6 @@ class RadialBump:
     @property
     def c2_norm(self):
         return self.sup_value + self.sup_gradient + self.sup_hessian
-
-
-class ConstantVectorField:
-    def __init__(self, vector):
-        self.vector = np.asarray(vector, dtype=float)
-
-    def __call__(self, points):
-        return np.broadcast_to(self.vector, np.shape(points)).copy()
-
-    def jacobian(self, points):
-        n = len(self.vector)
-        return np.zeros((len(points), n, n))
-
-
-class LinearVectorField:
-    """X(x) = A x + b with constant Jacobian A."""
-
-    def __init__(self, matrix, offset=None):
-        self.matrix = np.asarray(matrix, dtype=float)
-        n = self.matrix.shape[0]
-        self.offset = (
-            np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
-        )
-
-    def __call__(self, points):
-        return points @ self.matrix.T + self.offset
-
-    def jacobian(self, points):
-        return np.broadcast_to(
-            self.matrix, (len(points),) + self.matrix.shape
-        ).copy()
-
-
-class BumpVectorField:
-    """X(x) = phi(x) v for a scalar bump phi and a fixed direction v."""
-
-    def __init__(self, bump, direction):
-        self.bump = bump
-        self.direction = np.asarray(direction, dtype=float)
-
-    def __call__(self, points):
-        return self.bump(points)[:, None] * self.direction
-
-    def jacobian(self, points):
-        grad = self.bump.gradient(points)
-        return self.direction[None, :, None] * grad[:, None, :]
 
 
 class GammaHypothesisError(ValueError):

@@ -35,10 +35,13 @@ paths, chosen from the probe alone:
   the cell's subcell atoms (the lattice form of the point-cloud kernel
   sums of Buet and Rumpf); each (probe, cell) pair gathers its entry and
   the sums run over cells in increasing index. Its results agree with the
-  per-pair path to rounding, not bitwise. The table is used only when the
-  atoms refine the probes' quadrature (s_a > s_p; when s_a = s_p the probes
-  are atoms themselves and keep the per-pair order) and when it fits
-  ``_TABLE_BUDGET``; otherwise node probes take the per-pair path.
+  per-pair path to rounding, not bitwise. Every node probe takes the table,
+  whatever s_a and s_p, unless the table exceeds ``_TABLE_BUDGET``; then
+  they take the per-pair path. Which probes are nodes is decided by
+  ``VolumetricVarifold.quadrature_index``, beside the node formula. On the
+  27,048 nodes of an eps-0.2, s_p = 2 snapshot of the 32,768-sample unit
+  circle at h = eps^4 (2-core x86-64 VM) the table takes 0.84-0.95 s and
+  201 MiB peak resident, the per-pair path 3.8-4.1 s and 69 MiB.
 
 Either way each probe's summation order is fixed by the probe, so results
 do not depend on the order of the probes, on the other probes of the batch
@@ -72,9 +75,12 @@ _PAIR_BUDGET = 32_768
 _REACH_SLACK = 1e-9
 # Most subcell radii an offset table may span: the box of cell offsets
 # within reach, times the probe subnodes, times the subcell atoms of a cell
-# (s_p^n (2K + 1)^n s_a^n). Bounds the table's build arrays; node probes of
-# a larger table take the per-pair path.
-_TABLE_BUDGET = 1 << 20
+# (s_p^n (2K + 1)^n s_a^n). Building a table peaks at about 64 bytes per
+# radius of the box in 2-D and 35 in 3-D (numpy allocations, boxes of
+# 0.1M to 2.7M radii), so the cap keeps one table near 256 MiB in 2-D. The
+# runner's eps-0.2 circle snapshot spans 2.06M. Node probes of a larger
+# table take the per-pair path.
+_TABLE_BUDGET = 1 << 22
 
 
 class DenominatorTooSmall(ValueError):
@@ -168,26 +174,6 @@ def _atom_cloud(varifold, s):
         columns.flags.writeable = False
         varifold._caches[key] = (pts, columns, masses)
     return varifold._caches[key]
-
-
-def _own_nodes(varifold, points):
-    """Which probes are the varifold's own quadrature nodes.
-
-    Returns (mask, cell, sub): a probe is a node if it is bitwise equal to
-    the point ``quadrature_points`` computes for the cell and subcell index
-    recovered from it; ``cell`` and ``sub`` are the recovered indices.
-    """
-    mesh, s = varifold.mesh, varifold.subdivisions
-    step = mesh.edge / s
-    with np.errstate(invalid="ignore"):
-        t = np.floor((points - mesh.origin) / step)
-        # nan and inf fail the comparison
-        ok = np.all(np.abs(t) < 2.0**52, axis=1)
-    t = np.where(ok[:, None], t, 0.0).astype(np.int64)
-    cell, sub = np.divmod(t, s)
-    node = (mesh.origin + cell * mesh.edge) + (sub + 0.5) * step
-    ok &= np.all(node == points, axis=1)
-    return ok, cell, sub
 
 
 def _offset_table(varifold, query, s_a, reach):
@@ -312,14 +298,14 @@ def _node_path(varifold, query, s, reach, points):
 
     Returns (mask, table, probe_base) with table = (xi sums, first-variation
     sums, flat offset base of each cell, mass-weighted projector columns of
-    the cells), or (all False, None, None). The table is built only for a
-    volumetric varifold whose atoms subdivide its cells more finely than its
-    own quadrature (s_a > s_p), and only if it fits ``_TABLE_BUDGET``.
+    the cells), or (all False, None, None). The table is built for a
+    volumetric varifold probed at any of its own quadrature nodes, unless it
+    exceeds ``_TABLE_BUDGET``.
     """
     off = np.zeros(len(points), dtype=bool)
-    if s is None or s <= varifold.subdivisions:
+    if s is None:
         return off, None, None
-    nodes, cell, sub = _own_nodes(varifold, points)
+    nodes, cell, sub = varifold.quadrature_index(points)
     if not nodes.any():
         return off, None, None
     built = _offset_table(varifold, query, s, reach)

@@ -217,18 +217,29 @@ def read_cells_csv(path):
         if not first.startswith("#"):
             raise ValueError("missing mesh comment line")
         meta = {}
+        key = None
         for tok in first[1:].split():
             if "=" in tok:
                 key, _, val = tok.partition("=")
                 meta.setdefault(key, []).append(val)
+            elif key is None:
+                raise ValueError(
+                    f"mesh comment line has {tok!r} before any key="
+                )
             else:
                 # continuation of a vector-valued entry such as origin
                 meta[key].append(tok)
+        for name in ("edge", "origin", "subdivisions"):
+            if name not in meta:
+                raise ValueError(f"mesh comment line has no {name}=")
         edge = float(meta["edge"][0])
         origin = np.array([float(v) for v in meta["origin"]])
         subdivisions = int(meta["subdivisions"][0])
         reader = csv.reader(fh)
-        header = next(reader)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError("cell table has no header row") from None
         rows = list(reader)
     n = sum(1 for name in header if name.startswith("k"))
     if len(header) != 2 * n + 1 + n * n:

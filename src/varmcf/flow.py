@@ -4,7 +4,8 @@ A round circle or sphere of initial radius r0 flowing by mean curvature
 stays round with radius r(t) = sqrt(r0^2 - 2 d t), vanishing at
 t = r0^2 / (2 d). These exact trajectories drive the space-time residual
 checks. The polyline flow is an explicit Euler scheme for curve shortening
-in the plane, used as an independent numeric reference.
+in the plane; it is compared only with the circle's radius law, in one test
+and one demo.
 """
 
 from __future__ import annotations

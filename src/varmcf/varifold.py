@@ -296,6 +296,12 @@ class VolumetricVarifold(_WeightedAtoms):
     def cell_centers(self):
         return self.mesh.cell_center(self.cell_indices)
 
+    def _node(self, cell, sub, s):
+        """Node of subcell ``sub`` (per-axis index) of grid cell ``cell``
+        at s subdivisions per axis: the one formula for quadrature nodes."""
+        mesh = self.mesh
+        return (mesh.origin + cell * mesh.edge) + (sub + 0.5) * (mesh.edge / s)
+
     def quadrature_points(self, subdivisions=None):
         """Midpoint subcell quadrature nodes, (M * s^n, n), cell-major.
 
@@ -307,18 +313,36 @@ class VolumetricVarifold(_WeightedAtoms):
         key = ("quadrature", s)
         if key not in self._caches:
             n = self.n
-            edge = self.mesh.edge
-            offs_1d = (np.arange(s) + 0.5) * (edge / s)
-            grids = np.meshgrid(*([offs_1d] * n), indexing="ij")
-            offsets = np.stack([g.reshape(-1) for g in grids], axis=1)
-            corners = self.mesh.origin + self.cell_indices * edge
-            pts = corners[:, None, :] + offsets[None, :, :]
+            grids = np.meshgrid(*([np.arange(s)] * n), indexing="ij")
+            sub = np.stack([g.reshape(-1) for g in grids], axis=1)
+            pts = self._node(self.cell_indices[:, None, :], sub[None], s)
             owner = np.repeat(np.arange(len(self)), s**n)
             pts = pts.reshape(-1, n)
             pts.flags.writeable = False
             owner.flags.writeable = False
             self._caches[key] = (pts, owner)
         return self._caches[key]
+
+    def quadrature_index(self, points):
+        """Which points are the varifold's own quadrature nodes (at its
+        ``subdivisions``), and of which cell and subcell.
+
+        Returns (mask, cell, sub) with (P, n) integer grid coordinates of
+        the cell and per-axis subcell indices recovered from each point; a
+        point is a node if it is bitwise equal to the node computed for
+        them, as ``quadrature_points`` computes it. The cell need not be
+        occupied. Non-finite and far-off points are not nodes.
+        """
+        s = self.subdivisions
+        points = np.asarray(points, dtype=float)
+        with np.errstate(invalid="ignore"):
+            t = np.floor((points - self.mesh.origin) / (self.mesh.edge / s))
+            # nan and inf fail the comparison
+            ok = np.all(np.abs(t) < 2.0**52, axis=1)
+        t = np.where(ok[:, None], t, 0.0).astype(np.int64)
+        cell, sub = np.divmod(t, s)
+        ok &= np.all(self._node(cell, sub, s) == points, axis=1)
+        return ok, cell, sub
 
     def atoms(self, subdivisions=None):
         """The varifold as weighted atoms, one per subcell quadrature node.

@@ -3,11 +3,8 @@ import pytest
 
 from varmcf import brakke
 from varmcf.brakke import (
-    BumpVectorField,
-    ConstantVectorField,
     ConstantsLedger,
     GammaHypothesisError,
-    LinearVectorField,
     RadialBump,
     brakke_residual,
     constants_ledger,
@@ -21,6 +18,54 @@ from varmcf.discretization import Mesh, discretize
 from varmcf.flow import ShrinkingCircle
 from varmcf.geometry import Circle, Sphere
 from varmcf.kernels import default_kernel_pair
+
+
+class ConstantVectorField:
+    """X(x) = v with zero Jacobian."""
+
+    def __init__(self, vector):
+        self.vector = np.asarray(vector, dtype=float)
+
+    def __call__(self, points):
+        return np.broadcast_to(self.vector, np.shape(points)).copy()
+
+    def jacobian(self, points):
+        n = len(self.vector)
+        return np.zeros((len(points), n, n))
+
+
+class LinearVectorField:
+    """X(x) = A x + b with constant Jacobian A."""
+
+    def __init__(self, matrix, offset=None):
+        self.matrix = np.asarray(matrix, dtype=float)
+        n = self.matrix.shape[0]
+        self.offset = (
+            np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
+        )
+
+    def __call__(self, points):
+        return points @ self.matrix.T + self.offset
+
+    def jacobian(self, points):
+        return np.broadcast_to(
+            self.matrix, (len(points),) + self.matrix.shape
+        ).copy()
+
+
+class BumpVectorField:
+    """X(x) = phi(x) v for a scalar bump phi and a fixed direction v."""
+
+    def __init__(self, bump, direction):
+        self.bump = bump
+        self.direction = np.asarray(direction, dtype=float)
+
+    def __call__(self, points):
+        return self.bump(points)[:, None] * self.direction
+
+    def jacobian(self, points):
+        grad = self.bump.gradient(points)
+        return self.direction[None, :, None] * grad[:, None, :]
 
 
 def _fd_gradient(f, points, step=1e-6):

@@ -129,13 +129,14 @@ def _volumetric_circle_case():
     return _dyadic_circle_cells(), default_kernel_pair(2, 1), 0.2, probes
 
 
-def _own_node_circle_case():
-    """Volumetric circle with one subcell per cell (s_p = 1) probed at 24 of
-    its own quadrature nodes and at the circle's centre, which has no atom
-    in reach; at eps 0.2 its atoms subdivide each cell s_a = 4 times."""
+def _own_node_circle_case(subdivisions=1, edge=0.125):
+    """Volumetric circle probed at 24 of its own quadrature nodes (s_p =
+    subdivisions) and at the circle's centre, which has no atom in reach.
+    By default s_p = 1 and, at eps 0.2, its atoms subdivide each cell
+    s_a = 4 times; the edge sets s_a."""
     sample = Circle(1.0).sample(4096)
-    mesh = Mesh(np.array([-1.5, -1.5]), np.array([1.5, 1.5]), 0.125)
-    vol = discretize(sample, mesh, subdivisions=1)
+    mesh = Mesh(np.array([-1.5, -1.5]), np.array([1.5, 1.5]), edge)
+    vol = discretize(sample, mesh, subdivisions=subdivisions)
     nodes = vol.atoms()[0]
     probes = np.vstack([nodes[:: len(nodes) // 24][:24], [[0.0, 0.0]]])
     return vol, default_kernel_pair(2, 1), 0.2, probes
@@ -175,7 +176,8 @@ def _sequential_sums(cloud, pair, eps, probes):
 def _volumetric_sphere_case(s, edge):
     """Volumetric sphere at eps 0.3 whose edge makes the rule
     s = max(2, subdivisions, ceil(4 h / eps)) give s, so the cell search
-    expands each cell into s^3 atoms."""
+    expands each cell into s^3 atoms. Three probes are atoms; at s = 2 they
+    are also the varifold's own quadrature nodes (s_p = 2)."""
     eps = 0.3
     sample = Sphere(1.0).sample(64)
     vol = discretize(sample, Mesh.covering(sample.positions, edge, pad=0.1))
@@ -204,8 +206,15 @@ def test_sums_follow_atom_index_order_exactly(make_case):
     query = CurvatureQuery(pair, eps)
     num_ref, den_ref = _sequential_sums(cloud, pair, eps, probes)
     num, den = regularized_sums(varifold, query, probes)
-    assert np.array_equal(num, num_ref)
-    assert np.array_equal(den, den_ref)
+    nodes = np.zeros(len(probes), dtype=bool)
+    if isinstance(varifold, VolumetricVarifold):
+        nodes = varifold.quadrature_index(probes)[0]
+    assert np.array_equal(num[~nodes], num_ref[~nodes])
+    assert np.array_equal(den[~nodes], den_ref[~nodes])
+    # own quadrature nodes sum cell by cell through the offset table
+    if nodes.any():
+        _assert_relatively_close(num[nodes], num_ref[nodes])
+        _assert_relatively_close(den[nodes], den_ref[nodes])
 
 
 @pytest.mark.parametrize(
@@ -435,6 +444,10 @@ _OWN_NODE_CASES = [
                  id="own_node_sphere_sp1_sa2"),
     pytest.param(lambda: _own_node_sphere_case(2, 0.125),
                  id="own_node_sphere_sp2_sa3"),
+    pytest.param(lambda: _own_node_circle_case(2, 0.0625),
+                 id="own_node_circle_sp2_sa2"),
+    pytest.param(lambda: _own_node_sphere_case(2, 0.0625),
+                 id="own_node_sphere_sp2_sa2"),
 ]
 
 
@@ -464,8 +477,8 @@ def _count_node_probes(monkeypatch):
 @pytest.mark.parametrize("make_case", _OWN_NODE_CASES)
 def test_node_probes_match_per_pair_path(monkeypatch, make_case):
     vol, pair, eps, probes = make_case()
-    assert _atom_subdivisions(vol, eps) > vol.subdivisions
-    nodes = curvature._own_nodes(vol, probes)[0]
+    assert _atom_subdivisions(vol, eps) >= vol.subdivisions
+    nodes = vol.quadrature_index(probes)[0]
     assert np.sum(nodes) >= 12
     query = CurvatureQuery(pair, eps)
     seen = _count_node_probes(monkeypatch)
@@ -491,8 +504,8 @@ def test_probe_one_ulp_off_its_node_takes_per_pair_path(monkeypatch):
     node = probes[:1]
     moved = node.copy()
     moved[0, 1] = np.nextafter(moved[0, 1], np.inf)
-    assert curvature._own_nodes(vol, node)[0].all()
-    assert not curvature._own_nodes(vol, moved)[0].any()
+    assert vol.quadrature_index(node)[0].all()
+    assert not vol.quadrature_index(moved)[0].any()
     seen = _count_node_probes(monkeypatch)
     query = CurvatureQuery(pair, eps)
     num, den = regularized_sums(vol, query, moved)
@@ -516,7 +529,7 @@ def test_mixed_batch_gives_each_probe_its_own_bits(monkeypatch):
     batch = np.vstack([probes[:6], moved, rng.uniform(-1.2, 1.2, (12, 2)),
                        probes[-1:]])
     batch = batch[rng.permutation(len(batch))]
-    nodes = curvature._own_nodes(vol, batch)[0]
+    nodes = vol.quadrature_index(batch)[0]
     assert np.sum(nodes) == 6
     query = CurvatureQuery(pair, eps)
     field = curvature_field(vol, query, batch)
@@ -580,7 +593,7 @@ def test_node_probes_call_kernels_once_on_table_radii(monkeypatch, make_case):
     # pair.rho.derivative are each called once per call, on the radii of the
     # offset table and nothing else.
     vol, pair, eps, probes = make_case()
-    probes = probes[curvature._own_nodes(vol, probes)[0]]
+    probes = probes[vol.quadrature_index(probes)[0]]
     monkeypatch.setattr(curvature, "_PAIR_BUDGET", 100)
     seen = _count_node_probes(monkeypatch)
     spy = copy.copy(pair)

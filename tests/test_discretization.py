@@ -205,6 +205,18 @@ def test_cells_csv_round_trip(tmp_path):
     )
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("# 0.5 edge=0.5 origin=0 0 subdivisions=2\nk1,k2\n", "before any key="),
+    ("# origin=0 0 subdivisions=2\nk1,k2\n", "no edge="),
+    ("# edge=0.5 origin=0 0 subdivisions=2\n", "no header row"),
+])
+def test_cells_csv_rejects_malformed_files(tmp_path, text, problem):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=problem):
+        read_cells_csv(path)
+
+
 def test_cells_csv_rejects_missing_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("k1,k2,c1,c2,mass,p1_1,p1_2,p2_1,p2_2\n")

@@ -314,3 +314,33 @@ def test_volumetric_atoms_expand_each_cell_bitwise(subdivisions):
     measure = atomize(v, s)
     assert np.array_equal(measure.positions, pts)
     assert np.array_equal(measure.masses, masses)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("subdivisions", [1, 2, 3])
+def test_quadrature_index_inverts_quadrature_points(n, subdivisions):
+    # A negative origin that is no multiple of the edge: the nodes straddle
+    # zero and none of them is a short binary fraction.
+    lo = np.array([-1.37, -0.91, -2.03])[:n]
+    mesh = Mesh(lo, lo + 2.0, 0.3)
+    rng = np.random.default_rng(10 * n + subdivisions)
+    cells = np.unique(rng.integers(0, 7, size=(12, n)), axis=0)
+    plane = np.zeros((n, n))
+    plane[0, 0] = 1.0
+    v = VolumetricVarifold(mesh, cells, np.ones(len(cells)),
+                           np.broadcast_to(plane, (len(cells), n, n)),
+                           subdivisions=subdivisions)
+    s = subdivisions
+    pts, owner = v.quadrature_points()
+    ok, cell, sub = v.quadrature_index(pts)
+    assert ok.all()
+    np.testing.assert_array_equal(cell, v.cell_indices[owner])
+    local = np.arange(len(pts)) % s**n
+    np.testing.assert_array_equal(
+        sub, np.stack(np.unravel_index(local, (s,) * n), axis=1)
+    )
+    for axis in range(n):
+        for direction in (-np.inf, np.inf):
+            moved = pts.copy()
+            moved[:, axis] = np.nextafter(moved[:, axis], direction)
+            assert not v.quadrature_index(moved)[0].any()
