@@ -10,7 +10,6 @@ measure, using spectrally accurate product rules on the parameter domain.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ellipe
 
 from .varifold import _no_cells, _WeightedAtoms
 
@@ -345,6 +344,9 @@ class Ellipse(AnalyticShape):
         return hi / lo**2
 
     def total_measure(self):
+        # imported here so that importing the package skips scipy.special
+        from scipy.special import ellipe
+
         hi = max(self.a, self.b)
         lo = min(self.a, self.b)
         return float(4.0 * hi * ellipe(1.0 - (lo / hi) ** 2))

@@ -18,9 +18,9 @@ constant.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import beta as beta_fn
-from scipy.special import gamma as gamma_fn
 
 __all__ = [
     "PolynomialProfile",
@@ -123,13 +123,18 @@ class PolynomialProfile:
         """d-dimensional moment d * omega_d * int_0^1 profile(r) r^(d-1) dr.
 
         omega_d is the volume of the d-dimensional unit ball; substituting
-        q = r^2 turns the integral into (c/2) B(a + d/2, b + 1).
+        q = r^2 turns the integral into (c/2) B(a + d/2, b + 1). For the
+        integer m = b + 1, B(x, m) = (m - 1)! / (x (x + 1) ... (x + m - 1)).
         """
         d = int(d)
         if d < 1:
             raise ValueError("d must be a positive integer")
-        omega = np.pi ** (d / 2.0) / gamma_fn(d / 2.0 + 1.0)
-        return d * omega * 0.5 * self.c * beta_fn(self.a + d / 2.0, self.b + 1)
+        omega = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+        x = self.a + d / 2.0
+        beta = math.factorial(self.b) / math.prod(
+            x + i for i in range(self.b + 1)
+        )
+        return d * omega * 0.5 * self.c * beta
 
 
 class KernelPair:

@@ -14,6 +14,17 @@ the triangle inequality an optimal plan never routes mass through a third
 atom, so no other slope constraint can be active. Pruning by distance
 instead is invalid: dropping constraints between distant atoms changes the
 optimum (two unit atoms at distance 3 have distance 6/5, not 2).
+
+The positive x negative slope rows are not all handed to the solver at
+once; they are generated (Dantzig, Fulkerson and Johnson's constraint
+generation). The program starts with the rows from each positive atom to
+its nearest negative atoms, and each round adds the rows the last solution
+violates most. A solution of the reduced program that violates no row
+solves the full one, so the distance stays exact while the solver holds
+only the rows that bind, which the dual's transport keeps between nearby
+atoms. The violation check and the start-set search hold one block of atom
+pairs at a time, so memory follows the kept rows, which ``MAX_SLOPE_ROWS``
+caps.
 """
 
 from __future__ import annotations
@@ -31,11 +42,18 @@ __all__ = [
     "ahlfors_scan",
 ]
 
-# Largest number of slope rows (positive x negative atoms) the distance LP
-# may hold. Peak memory grows by about 1.6 KiB per slope row (HiGHS through
-# scipy 1.17.1 on x86-64, 40,000 to 360,000 rows), so the cap keeps one solve
-# near 1.6 GiB.
+# Largest number of slope rows one HiGHS solve of the distance LP may hold.
+# Peak memory grows by about 1.6 KiB per slope row (HiGHS through scipy
+# 1.17.1 on x86-64, 40,000 to 360,000 rows), so the cap keeps one solve near
+# 1.6 GiB.
 MAX_SLOPE_ROWS = 1_000_000
+# Slope rows each positive atom starts with (to its nearest negative atoms)
+# and most rows it gains per round (its most violated ones).
+_ROWS_PER_ATOM = 8
+# Excess phi_p - phi_q - L d_pq above which a slope row counts as violated.
+_VIOLATION_TOL = 1e-12
+# Atom pairs whose distances one block of the row search holds at once.
+_PAIR_BLOCK = 1 << 16
 
 
 def __getattr__(name):
@@ -118,46 +136,71 @@ def _merged_signed_difference(mu, nu):
     return unique_pts, sums
 
 
-def bounded_lipschitz_distance(mu, nu):
-    """Exact bounded-Lipschitz distance between two atomic measures.
+def _pair_distances(pts, pos, neg):
+    """Distances from blocks of positive atoms to every negative atom.
 
-    Solves the defining linear program on the union support with the HiGHS
-    solver. Its variables are the test-function values phi, their sup bound
-    a and their Lipschitz bound L; its rows are |phi_i| <= a for every atom,
-    a + L <= 1, and phi_p - phi_q <= L |x_p - x_q| for every atom p where
-    mu - nu is positive and q where it is negative. No other slope row can
-    bind (see the module docstring): the clipped McShane extension
-    max(-a, min(a, min_q (phi_q + L |x - x_q|))) of a solution satisfies
-    every slope row and is at least phi on the positive atoms and at most
-    phi on the negative ones. Pairs may not be pruned by distance: two unit
-    atoms at distance 3 are at BL distance 6/5, not 2.
-
-    Raises ValueError when the program would need more than
-    ``MAX_SLOPE_ROWS`` slope rows, before any of them is allocated.
+    Yields ``(first, dist)`` with ``dist[i, j] = |x_pos[first + i] -
+    x_neg[j]|``. A block holds at most ``_PAIR_BLOCK`` pairs, or one
+    positive atom's row when that is longer, so memory does not grow with
+    |P| |N|.
     """
-    mu = atomize(mu)
-    nu = atomize(nu)
-    if len(mu) and len(nu) and mu.n != nu.n:
-        raise ValueError("measures live in different ambient dimensions")
-    pts, c = _merged_signed_difference(mu, nu)
-    k = len(pts)
-    if k == 0 or np.all(c == 0):
-        return 0.0
-    pos = np.flatnonzero(c > 0)
-    neg = np.flatnonzero(c < 0)
-    if len(pos) * len(neg) > MAX_SLOPE_ROWS:
-        raise ValueError(
-            f"distance LP needs {len(pos)} positive x {len(neg)} negative "
-            f"atoms = {len(pos) * len(neg)} slope rows, over the cap of "
-            f"MAX_SLOPE_ROWS = {MAX_SLOPE_ROWS}"
-        )
+    targets = pts[neg]
+    step = max(1, _PAIR_BLOCK // len(neg))
+    for first in range(0, len(pos), step):
+        diff = pts[pos[first:first + step], None, :] - targets[None, :, :]
+        yield first, np.sqrt(np.einsum("pqi,pqi->pq", diff, diff))
 
+
+def _top_rows(scores, first, count):
+    """Keys (positive x |N| + negative) and columns of each row's largest
+    ``count`` scores, every column when there are no more than ``count``."""
+    rows, width = scores.shape
+    if width <= count:
+        cols = np.tile(np.arange(width), rows)
+    else:
+        cols = np.argpartition(scores, width - count, axis=1)[:, -count:]
+        cols = np.sort(cols, axis=1).ravel()
+    local = np.repeat(np.arange(rows), min(width, count))
+    return (first + local) * width + cols, local, cols
+
+
+def _start_rows(pts, pos, neg):
+    """Slope rows from each positive atom to its nearest negative atoms."""
+    keys, dist = [], []
+    for first, block in _pair_distances(pts, pos, neg):
+        key, local, cols = _top_rows(-block, first, _ROWS_PER_ATOM)
+        keys.append(key)
+        dist.append(block[local, cols])
+    return np.concatenate(keys), np.concatenate(dist)
+
+
+def _violated_rows(pts, pos, neg, phi, lip, kept):
+    """The most violated slope rows not in ``kept`` (sorted keys), with
+    excess phi_p - phi_q - lip d_pq above ``_VIOLATION_TOL``: at most
+    ``_ROWS_PER_ATOM`` per positive atom."""
+    keys, dist = [], []
+    width = len(neg)
+    phi_neg = phi[neg]
+    for first, block in _pair_distances(pts, pos, neg):
+        rows = len(block)
+        excess = phi[pos[first:first + rows], None] - phi_neg[None, :]
+        excess -= lip * block
+        lo, hi = np.searchsorted(kept, [first * width, (first + rows) * width])
+        np.put(excess, kept[lo:hi] - first * width, -np.inf)
+        key, local, cols = _top_rows(excess, first, _ROWS_PER_ATOM)
+        hit = excess[local, cols] > _VIOLATION_TOL
+        keys.append(key[hit])
+        dist.append(block[local[hit], cols[hit]])
+    return np.concatenate(keys), np.concatenate(dist)
+
+
+def _solve_rows(pts, c, pi, qi, d):
+    """Solve the distance LP with the given slope rows; returns the optimal
+    (phi, L, value)."""
+    k = len(pts)
+    m = len(d)
     # variables: phi_1..phi_k, a (sup bound), L (lipschitz bound); rows:
     # phi_i - a <= 0, -phi_i - a <= 0, the slope rows, a + L <= 1
-    pi = np.repeat(pos, len(neg))
-    qi = np.tile(neg, len(pos))
-    d = np.linalg.norm(pts[pi] - pts[qi], axis=1)
-    m = len(d)
     atom = np.arange(k)
     slope = 2 * k + np.arange(m)
     last = 2 * k + m
@@ -186,7 +229,67 @@ def bounded_lipschitz_distance(mu, nu):
     )
     if res.status != 0:
         raise RuntimeError(f"distance LP failed: {res.message}")
-    return float(-res.fun)
+    return res.x[:k], res.x[k + 1], float(-res.fun)
+
+
+def bounded_lipschitz_distance(mu, nu):
+    """Exact bounded-Lipschitz distance between two atomic measures.
+
+    Solves the defining linear program on the union support with the HiGHS
+    solver. Its variables are the test-function values phi, their sup bound
+    a and their Lipschitz bound L; its rows are |phi_i| <= a for every atom,
+    a + L <= 1, and slope rows phi_p - phi_q <= L |x_p - x_q| for atoms p
+    where mu - nu is positive and q where it is negative. No other slope
+    row can bind (see the module docstring): the clipped McShane extension
+    max(-a, min(a, min_q (phi_q + L |x - x_q|))) of a solution satisfies
+    every slope row and is at least phi on the positive atoms and at most
+    phi on the negative ones. Pairs may not be pruned by distance: two unit
+    atoms at distance 3 are at BL distance 6/5, not 2.
+
+    The slope rows are generated: the program starts with the rows from
+    each positive atom to its ``_ROWS_PER_ATOM`` nearest negative atoms,
+    and each round adds, per positive atom, up to that many of the rows its
+    solution violates most. Dropping rows only relaxes the program, so its
+    optimum is at least the full one; a solution that violates no row is
+    feasible for the full program, hence optimal, and the loop stops there.
+
+    Raises ValueError when a round would hand HiGHS more than
+    ``MAX_SLOPE_ROWS`` slope rows.
+    """
+    mu = atomize(mu)
+    nu = atomize(nu)
+    if len(mu) and len(nu) and mu.n != nu.n:
+        raise ValueError("measures live in different ambient dimensions")
+    pts, c = _merged_signed_difference(mu, nu)
+    if len(pts) == 0 or np.all(c == 0):
+        return 0.0
+    pos = np.flatnonzero(c > 0)
+    neg = np.flatnonzero(c < 0)
+    pairs = len(pos) * len(neg)
+    if pairs:
+        keys, dist = _start_rows(pts, pos, neg)
+    else:
+        keys, dist = np.zeros(0, dtype=np.int64), np.zeros(0)
+    width = max(len(neg), 1)
+    while True:
+        if len(keys) > MAX_SLOPE_ROWS:
+            raise ValueError(
+                f"distance LP needs {len(keys)} slope rows for {len(pos)} "
+                f"positive x {len(neg)} negative atoms, over the cap of "
+                f"MAX_SLOPE_ROWS = {MAX_SLOPE_ROWS}"
+            )
+        phi, lip, value = _solve_rows(
+            pts, c, pos[keys // width], neg[keys % width], dist
+        )
+        if len(keys) == pairs:
+            return value
+        new_keys, new_dist = _violated_rows(pts, pos, neg, phi, lip, keys)
+        if not len(new_keys):
+            return value
+        keys = np.concatenate([keys, new_keys])
+        dist = np.concatenate([dist, new_dist])
+        order = np.argsort(keys)
+        keys, dist = keys[order], dist[order]
 
 
 def _probe_indices(count, max_probes):

@@ -1,5 +1,5 @@
-"""What importing the package loads: scipy.spatial never, scipy.optimize
-only when a bounded-Lipschitz distance is solved."""
+"""What importing the package loads: scipy.spatial and scipy.special
+never, scipy.optimize only when a bounded-Lipschitz distance is solved."""
 
 import json
 import subprocess
@@ -9,8 +9,10 @@ from conftest import runner_env
 
 CHILD = """
 import json, sys
-loaded = lambda: sorted(m for m in ("scipy.spatial", "scipy.optimize")
-                        if m in sys.modules)
+loaded = lambda: sorted(
+    m for m in ("scipy.spatial", "scipy.special", "scipy.optimize")
+    if m in sys.modules
+)
 import varmcf
 after_package = loaded()
 import varmcf.experiments

@@ -71,6 +71,19 @@ def test_closed_form_moments_match_quadrature(kind, n, d, exponent):
         assert abs(closed - oracle) <= 1e-12 * oracle
 
 
+def test_moments_match_the_scipy_beta_formula():
+    # The product form of B(x, b + 1) replaces scipy.special in the package.
+    from scipy.special import beta, gamma
+
+    for a in range(8):
+        for b in range(10):
+            profile = PolynomialProfile._factored(1.7, a, b)
+            for d in range(1, 5):
+                omega = np.pi ** (d / 2.0) / gamma(d / 2.0 + 1.0)
+                ref = d * omega * 0.5 * 1.7 * beta(a + d / 2.0, b + 1)
+                assert abs(profile.moment(d) - ref) <= 1e-15 * ref
+
+
 def test_sup_norms_match_analytic_extrema():
     pair = default_kernel_pair(n=2, d=1)
     # Extrema of the normalized profiles, solved exactly offline.

@@ -157,21 +157,86 @@ def test_lp_keeps_only_positive_to_negative_slope_rows(lp_matrices):
     assert got == pytest.approx(_all_pairs_bl(mu, nu), rel=1e-12)
 
 
-def test_lp_size_guard_raises_before_solving(monkeypatch, lp_matrices):
-    mu, nu = _shared_support_pair(2, 12)
+@pytest.fixture
+def lp_solves(monkeypatch):
+    """(constraint matrix, result) of every distance LP solved in the test."""
+    captured = []
+
+    def spy(c, A_ub=None, **kwargs):
+        res = linprog(c, A_ub=A_ub, **kwargs)
+        captured.append((A_ub, res))
+        return res
+
+    monkeypatch.setattr(metrics, "linprog", spy)
+    return captured
+
+
+def _random_clouds(n, size, seed):
+    rng = np.random.default_rng(seed)
+    return tuple(
+        AtomicMeasure(rng.uniform(size=(size, n)), rng.uniform(0.1, 1, size))
+        for _ in range(2)
+    )
+
+
+def _slope_rows(a_ub, k):
+    # 2k box rows and the row a + L <= 1 besides the slope rows
+    return a_ub.shape[0] - 2 * k - 1
+
+
+# Fixed-seed clouds whose start set misses binding rows, so the solver
+# runs more than one round.
+LOOP_CASES = {"2d-50": (2, 50, 3), "2d-100": (2, 100, 0), "3d-60": (3, 60, 1)}
+
+
+@pytest.mark.parametrize("case", sorted(LOOP_CASES))
+def test_row_generation_ends_with_no_violated_row(case, lp_solves):
+    mu, nu = _random_clouds(*LOOP_CASES[case])
+    got = bounded_lipschitz_distance(mu, nu)
+    assert len(lp_solves) >= 2
+    ref = _all_pairs_bl(mu, nu)
+    assert abs(got - ref) <= 1e-12 * ref
+
     pts, c = _merged_signed_difference(mu, nu)
+    k = len(pts)
+    x = lp_solves[-1][1].x
+    phi, lip = x[:k], x[k + 1]
+    pos, neg = pts[c > 0], pts[c < 0]
+    dist = np.linalg.norm(pos[:, None, :] - neg[None, :, :], axis=2)
+    excess = phi[c > 0][:, None] - phi[c < 0][None, :] - lip * dist
+    assert excess.max() <= 1e-12
+
+
+def test_lp_size_guard_raises_before_solving(monkeypatch, lp_solves):
+    # The cap bounds the slope rows of every solve: a round that would need
+    # more raises before HiGHS sees it.
+    mu, nu = _random_clouds(*LOOP_CASES["2d-50"])
+    pts, c = _merged_signed_difference(mu, nu)
+    k = len(pts)
     positive, negative = int(np.sum(c > 0)), int(np.sum(c < 0))
-    monkeypatch.setattr(metrics, "MAX_SLOPE_ROWS", positive * negative - 1)
-    with pytest.raises(ValueError) as info:
-        bounded_lipschitz_distance(mu, nu)
-    message = str(info.value)
-    assert f"{positive} positive" in message
-    assert f"{negative} negative" in message
-    assert f"{positive * negative - 1}" in message
-    assert lp_matrices == []
-    monkeypatch.setattr(metrics, "MAX_SLOPE_ROWS", positive * negative)
-    assert bounded_lipschitz_distance(mu, nu) > 0
-    assert len(lp_matrices) == 1
+    expected = bounded_lipschitz_distance(mu, nu)
+    sizes = [_slope_rows(a_ub, k) for a_ub, _ in lp_solves]
+    assert len(sizes) >= 2 and sizes == sorted(set(sizes))
+
+    # each cap below a round's row count stops the solve at that round
+    for rounds, needed in enumerate(sizes):
+        lp_solves.clear()
+        cap = needed - 1
+        monkeypatch.setattr(metrics, "MAX_SLOPE_ROWS", cap)
+        with pytest.raises(ValueError) as info:
+            bounded_lipschitz_distance(mu, nu)
+        message = str(info.value)
+        assert f"needs {needed} slope rows" in message
+        assert f"{positive} positive" in message
+        assert f"{negative} negative" in message
+        assert f"MAX_SLOPE_ROWS = {cap}" in message
+        assert len(lp_solves) == rounds
+        assert all(_slope_rows(a_ub, k) <= cap for a_ub, _ in lp_solves)
+
+    lp_solves.clear()
+    monkeypatch.setattr(metrics, "MAX_SLOPE_ROWS", sizes[-1])
+    assert bounded_lipschitz_distance(mu, nu) == expected
+    assert [_slope_rows(a_ub, k) for a_ub, _ in lp_solves] == sizes
 
 
 def _measures(n, count):
