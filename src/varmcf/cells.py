@@ -37,24 +37,34 @@ class CellList:
     def __init__(self, centres, reach):
         w = _BLOCK_SPLIT
         self.reach, self.side = reach, reach / w
-        self.origin = centres.min(axis=0) - (2 * w + 1) * self.side
-        with np.errstate(over="ignore"):
-            blocks = np.floor((centres - self.origin) / self.side)
-        shape = blocks.max(axis=0) + (2 * w + 1)
+        n = centres.shape[1]
+        # axis by axis: origin, block coordinates and grid extent
+        self.origin, shape, blocks = np.empty(n), np.empty(n), []
+        for k in range(n):
+            column = centres[:, k]
+            self.origin[k] = column.min() - (2 * w + 1) * self.side
+            with np.errstate(over="ignore"):
+                blocks.append(np.floor((column - self.origin[k])
+                                       / self.side))
+            shape[k] = blocks[k].max() + (2 * w + 1)
         if not np.prod(shape) < 2.0**62:
             raise ValueError(f"a cell list of {np.prod(shape):.3g} blocks of "
                              f"side {self.side:.3g} overflows int64 indices")
         self.shape = shape.astype(np.int64)
         self.strides = np.append(np.cumprod(self.shape[:0:-1])[::-1], 1)
-        keys = blocks.astype(np.int64) @ self.strides
+        keys = blocks[-1].astype(np.int64)
+        for k in range(n - 1):
+            keys += blocks[k].astype(np.int64) * self.strides[k]
         self.order = np.argsort(keys, kind="stable")
         self.keys = keys[self.order]
         # sorted centres, one contiguous array per axis
-        self.columns = np.ascontiguousarray(centres[self.order].T)
-        axes = itertools.product(range(-w, w + 1), repeat=len(shape) - 1)
+        self.columns = np.empty((n, len(centres)))
+        for k in range(n):
+            np.take(centres[:, k], self.order, out=self.columns[k])
+        axes = itertools.product(range(-w, w + 1), repeat=n - 1)
         # first block of each range, relative to the probe's block
         self.first = np.array(list(axes), dtype=np.int64).reshape(
-            -1, len(shape) - 1) @ self.strides[:-1] - w
+            -1, n - 1) @ self.strides[:-1] - w
 
     def runs(self, points, budget, size=1):
         """Visit the probes in block order, in runs of at most ``budget``

@@ -30,15 +30,17 @@ paths, chosen from the probe alone:
 * Offset table. A probe that is one of the varifold's own quadrature nodes
   (subdivisions s_p) sits at a fixed subnode p of its cell, so its
   displacement to every atom of a cell k cells away is one of s_a^n fixed
-  vectors. A table built once per call holds, for every subnode and
-  every offset whose cell holds an atom within eps, the kernel sums over
-  the cell's subcell atoms (the lattice form of the point-cloud kernel
-  sums of Buet and Rumpf); each (probe, cell) pair gathers its entry and
-  the sums run over cells in increasing index. Its results agree with the
-  per-pair path to rounding, not bitwise. Every node probe takes the table,
-  whatever s_a and s_p, unless the table exceeds ``_TABLE_BUDGET``; then
-  they take the per-pair path. Which probes are nodes is decided by
-  ``VolumetricVarifold.quadrature_index``, beside the node formula. On the
+  vectors. A table holds, for every subnode and every offset whose cell
+  holds an atom within eps, the kernel sums over the cell's subcell atoms
+  (the lattice form of the point-cloud kernel sums of Buet and Rumpf);
+  each (probe, cell) pair gathers its entry and the sums run over cells in
+  increasing index. Its results agree with the per-pair path to rounding,
+  not bitwise. Every node probe takes the table, whatever s_a and s_p,
+  unless the table exceeds ``_TABLE_BUDGET``; then they take the per-pair
+  path. The table is kept on the query, once per key of everything it is
+  built from (edge, n, s_p, s_a, reach, pair and eps), so the snapshots of
+  one ``brakke_residual`` call share it. Which probes are nodes is decided
+  by ``VolumetricVarifold.quadrature_index``, beside the node formula. On the
   27,048 nodes of an eps-0.2, s_p = 2 snapshot of the 32,768-sample unit
   circle at h = eps^4 (2-core x86-64 VM) the table takes 0.84-0.95 s and
   201 MiB peak resident, the per-pair path 3.8-4.1 s and 69 MiB.
@@ -102,6 +104,10 @@ class CurvatureQuery:
 
     ``tau`` sets the floor tau * eps**(d - n) under which the curvature
     quotient is refused; d and n come from the pair.
+
+    The query keeps the offset tables it builds in ``_tables`` for its
+    lifetime, one per key, filled by check-then-set like the varifold
+    ``_caches``: threads that miss together each build the same table.
     """
 
     def __init__(self, pair, epsilon, tau=1e-14):
@@ -114,6 +120,7 @@ class CurvatureQuery:
         self.pair = pair
         self.epsilon = epsilon
         self.tau = tau
+        self._tables = {}
 
     @property
     def floor(self):
@@ -176,25 +183,21 @@ def _atom_cloud(varifold, s):
     return varifold._caches[key]
 
 
-def _offset_table(varifold, query, s_a, reach):
+def _offset_table(varifold, query, s_a, big_k):
     """Subcell kernel sums of one cell by probe subnode and cell offset.
 
     For a probe at subnode p of its cell and a cell k cells away, entry
     (p, k) holds ``s_a^-n sum_a (xi(|d|/eps), eps^-(n+1) rho'(|d|/eps)
     d/|d|)`` over the cell's subcell atoms a, where
     ``d = (k + (a + 1/2)/s_a - (p + 1/2)/s_p) edge``. Offsets run over
-    [-K, K]^n with K large enough for every cell within ``reach``; only
-    offsets whose cell holds an atom within eps are evaluated, the others
-    stay zero. Returns (xi sums, (n, ...) first-variation sums, K), flat in
-    the order (p, k + K) row-major, or None if the box of offsets exceeds
-    ``_TABLE_BUDGET``.
+    [-K, K]^n; only offsets whose cell holds an atom within eps are
+    evaluated, the others stay zero. Returns read-only (xi sums, (n, ...)
+    first-variation sums), flat in the order (p, k + K) row-major. Built
+    once per query and key by ``_node_path``.
     """
     n, s_p = varifold.n, varifold.subdivisions
     edge, eps, pair = varifold.mesh.edge, query.epsilon, query.pair
-    big_k = math.ceil(reach / edge) + 1
     side = 2 * big_k + 1
-    if (s_p * side * s_a) ** n > _TABLE_BUDGET:
-        return None
     # per axis, in edges: offset of the cell corner from the probe
     base = (np.arange(-big_k, big_k + 1)[None, :]
             - (np.arange(s_p) + 0.5)[:, None] / s_p)
@@ -229,7 +232,8 @@ def _offset_table(varifold, query, s_a, reach):
         (w[:, None] * diff).reshape(-1, per_cell, n).sum(axis=1).T
         / per_cell
     )
-    return xi_sums, rho_sums, big_k
+    xi_sums.flags.writeable = rho_sums.flags.writeable = False
+    return xi_sums, rho_sums
 
 
 def _chunk_sums(varifold, query, s, points, indptr, cols):
@@ -298,9 +302,10 @@ def _node_path(varifold, query, s, reach, points):
 
     Returns (mask, table, probe_base) with table = (xi sums, first-variation
     sums, flat offset base of each cell, mass-weighted projector columns of
-    the cells), or (all False, None, None). The table is built for a
-    volumetric varifold probed at any of its own quadrature nodes, unless it
-    exceeds ``_TABLE_BUDGET``.
+    the cells), or (all False, None, None). The table serves a volumetric
+    varifold probed at any of its own quadrature nodes, unless its box of
+    offsets, K = ceil(reach / edge) + 1 cells each way, exceeds
+    ``_TABLE_BUDGET`` as it reads at the call.
     """
     off = np.zeros(len(points), dtype=bool)
     if s is None:
@@ -308,15 +313,19 @@ def _node_path(varifold, query, s, reach, points):
     nodes, cell, sub = varifold.quadrature_index(points)
     if not nodes.any():
         return off, None, None
-    built = _offset_table(varifold, query, s, reach)
-    if built is None:
+    n, s_p, edge = varifold.n, varifold.subdivisions, varifold.mesh.edge
+    big_k = math.ceil(reach / edge) + 1
+    side = 2 * big_k + 1
+    if (s_p * side * s) ** n > _TABLE_BUDGET:
         return off, None, None
-    xi_sums, rho_sums, big_k = built
-    n, side = varifold.n, 2 * big_k + 1
+    key = (edge, n, s_p, s, reach, query.pair, query.epsilon)
+    if key not in query._tables:
+        query._tables[key] = _offset_table(varifold, query, s, big_k)
+    xi_sums, rho_sums = query._tables[key]
     strides = side ** np.arange(n - 1, -1, -1)
     # flat index of (p, k + K) is p side^n + (k + K) . strides with
     # k = cell - probe cell: split into a probe part and a cell part
-    subnode = np.ravel_multi_index(tuple(sub.T), (varifold.subdivisions,) * n)
+    subnode = np.ravel_multi_index(tuple(sub.T), (s_p,) * n)
     probe_base = subnode * side**n + (big_k - cell) @ strides
     columns = np.ascontiguousarray(np.moveaxis(
         varifold.masses[:, None, None] * varifold.projectors, 2, 0

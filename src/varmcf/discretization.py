@@ -75,29 +75,33 @@ class Mesh:
     def num_cells(self):
         return int(np.prod(self.counts))
 
-    def contains(self, points):
-        points = np.asarray(points, dtype=float)
-        slack = 1e-9 * self.edge
-        return np.all(
-            (points >= self.origin - slack) & (points <= self.upper + slack),
-            axis=-1,
-        )
-
     def cell_index(self, points):
         """Integer grid coordinates of the cells containing ``points``.
 
-        Raises ValueError if any point lies outside the box.
+        Points up to 1e-9 edges outside the box, and points on its far
+        faces, belong to the nearest cell. Raises ValueError if any point
+        lies farther outside. Works axis by axis on (..., n) points.
         """
         points = np.asarray(points, dtype=float)
-        inside = self.contains(points)
+        if points.shape[-1:] != (self.n,):
+            raise ValueError(f"points must have dimension {self.n}")
+        slack = 1e-9 * self.edge
+        inside = np.ones(points.shape[:-1], dtype=bool)
+        for k in range(self.n):
+            column = points[..., k]
+            inside &= column >= self.origin[k] - slack
+            inside &= column <= self.upper[k] + slack
         if not np.all(inside):
             bad = int(np.sum(~inside))
             raise ValueError(
                 f"{bad} point(s) lie outside the mesh box"
             )
-        idx = np.floor((points - self.origin) / self.edge).astype(np.int64)
-        # points on the far face belong to the last cell
-        return np.clip(idx, 0, self.counts - 1)
+        idx = np.empty(points.shape, dtype=np.int64)
+        for k in range(self.n):
+            idx[..., k] = np.floor((points[..., k] - self.origin[k])
+                                   / self.edge)
+            np.clip(idx[..., k], 0, self.counts[k] - 1, out=idx[..., k])
+        return idx
 
     def cell_center(self, indices):
         return self.origin + (np.asarray(indices) + 0.5) * self.edge
@@ -127,15 +131,18 @@ def discretize(sample, mesh, subdivisions=2):
 
     w_sorted = np.take(weights, order)
     cell_mass = np.add.reduceat(w_sorted, starts)
-    weighted_proj = w_sorted[:, None, None] * np.take(
-        projectors, order, axis=0
-    )
-    proj_sum = np.add.reduceat(weighted_proj, starts, axis=0)
+    # projector entries as (N, n * n) rows
+    n = mesh.n
+    entries = np.take(projectors.reshape(-1, n * n), order, axis=0)
+    entries *= w_sorted[:, None]
+    proj_sum = np.add.reduceat(entries, starts, axis=0)
 
     keep = cell_mass > 0
     cell_mass = cell_mass[keep]
-    mean_proj = proj_sum[keep] / cell_mass[:, None, None]
-    mean_proj = 0.5 * (mean_proj + np.swapaxes(mean_proj, -1, -2))
+    mean = proj_sum[keep] / cell_mass[:, None]
+    # entry (i, j) averaged with entry (j, i)
+    mean = 0.5 * (mean + mean[:, np.arange(n * n).reshape(n, n).T.ravel()])
+    mean_proj = mean.reshape(-1, n, n)
     cell_idx = np.take(idx, order[starts][keep], axis=0)
 
     # Frobenius-nearest rank-d projector: span of the top-d eigenvectors.

@@ -272,9 +272,15 @@ class Circle(AnalyticShape):
         resolution = _check_resolution(resolution)
         theta = 2.0 * np.pi * np.arange(resolution) / resolution
         cos, sin = np.cos(theta), np.sin(theta)
-        pts = self.center + self.radius * np.stack([cos, sin], axis=1)
-        t = np.stack([-sin, cos], axis=1)
-        proj = t[:, :, None] * t[:, None, :]
+        # column by column: positions c + r (cos, sin) and the projector
+        # t t^T of the unit tangent t = (-sin, cos)
+        pts = np.empty((resolution, 2))
+        pts[:, 0] = self.radius * cos + self.center[0]
+        pts[:, 1] = self.radius * sin + self.center[1]
+        proj = np.empty((resolution, 2, 2))
+        proj[:, 0, 0] = sin * sin
+        proj[:, 0, 1] = proj[:, 1, 0] = -sin * cos
+        proj[:, 1, 1] = cos * cos
         w = np.full(resolution, 2.0 * np.pi * self.radius / resolution)
         return WeightedSample(pts, proj, w, self.d)
 
@@ -424,15 +430,21 @@ class Sphere(AnalyticShape):
         r = self.radius
         ring = r * np.sqrt(1.0 - u**2)
         cos, sin = np.cos(theta), np.sin(theta)
-        # Outer products over (polar node, azimuth node).
-        x = ring[:, None] * cos[None, :]
-        yy = ring[:, None] * sin[None, :]
-        z = np.broadcast_to((r * u)[:, None], x.shape)
-        pts = np.stack([x, yy, z], axis=-1).reshape(-1, 3) + self.center
+        # Column by column, rows over (polar node, azimuth node).
+        count = resolution * ntheta
+        pts = np.empty((count, 3))
+        pts[:, 0] = np.multiply.outer(ring, cos).ravel() + self.center[0]
+        pts[:, 1] = np.multiply.outer(ring, sin).ravel() + self.center[1]
+        pts[:, 2] = np.repeat(r * u, ntheta) + self.center[2]
         w = (r**2 * gw)[:, None] * np.full(ntheta, 2.0 * np.pi / ntheta)
         w = w.reshape(-1)
-        nu = (pts - self.center) / r
-        proj = np.eye(3) - nu[:, :, None] * nu[:, None, :]
+        nu = [(pts[:, i] - self.center[i]) / r for i in range(3)]
+        # I - nu nu^T; 0 - x rather than -x keeps the sign of its zeros
+        proj = np.empty((count, 3, 3))
+        for i in range(3):
+            proj[:, i, i] = 1.0 - nu[i] * nu[i]
+            for j in range(i + 1, 3):
+                proj[:, i, j] = proj[:, j, i] = 0.0 - nu[i] * nu[j]
         return WeightedSample(pts, proj, w, self.d)
 
     def bounding_box(self, margin=0.0):

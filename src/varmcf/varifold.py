@@ -25,13 +25,24 @@ _PROJ_TOL = 1e-10
 
 
 def _validate_projectors(proj, d):
-    if np.max(np.abs(proj - np.swapaxes(proj, -1, -2))) > 1e-12:
+    """Reject an empty stack, or (N, n, n) finite projectors that are not
+    symmetric within 1e-12, idempotent within 1e-10 or of trace d within
+    1e-10. Works entry by entry on length-N columns."""
+    if not len(proj):
+        raise ValueError("no projectors to validate")
+    n = proj.shape[-1]
+    # entry (i, j) of every projector as one contiguous column
+    p = np.moveaxis(proj, 0, -1).copy()
+
+    def worst(gaps):
+        return max((np.max(np.abs(gap)) for gap in gaps), default=0.0)
+
+    if worst(p[i, j] - p[j, i] for i in range(n) for j in range(i)) > 1e-12:
         raise ValueError("projectors must be symmetric within 1e-12")
-    pp = np.matmul(proj, proj)
-    if np.max(np.abs(pp - proj)) > _PROJ_TOL:
+    if worst(sum(p[i, k] * p[k, j] for k in range(n)) - p[i, j]
+             for i in range(n) for j in range(n)) > _PROJ_TOL:
         raise ValueError("projectors must be idempotent within 1e-10")
-    traces = np.einsum("...ii->...", proj)
-    if np.max(np.abs(traces - d)) > _PROJ_TOL:
+    if worst([sum(p[i, i] for i in range(n)) - d]) > _PROJ_TOL:
         raise ValueError(f"projector traces must equal {d} within 1e-10")
 
 

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from varmcf import brakke
+from varmcf import brakke, curvature
 from varmcf.brakke import (
     ConstantsLedger,
     GammaHypothesisError,
@@ -321,6 +323,55 @@ def test_brakke_residual_threads_match_serial():
     for key in ("mass_phi", "curvature_terms", "transport_terms",
                 "failed_per_snapshot", "min_den_over_floor"):
         assert np.array_equal(getattr(serial, key), getattr(threaded, key))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_brakke_residual_builds_one_offset_table(monkeypatch, threads):
+    # The snapshots share the mesh edge, subdivisions, pair and eps, so the
+    # call's one query builds one offset table for all of them (threads
+    # that miss together may each build it), and the report is the one
+    # that snapshots with a fresh query each give, bit for bit.
+    traj = ShrinkingCircle(1.0).trajectory(0.0, 0.125, 4, 4096)
+    pair = default_kernel_pair(2, 1)
+    phi = RadialBump([0.3, 0.0], 0.2, 1.4)
+    eps, edge = 0.4, 0.4**4 / np.sqrt(2.0)
+    built = []
+    build = curvature._offset_table
+
+    def spy(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(curvature, "_offset_table", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = brakke_residual(traj, edge, pair, eps, phi,
+                                 subdivisions=1, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(traj) == 5
+    assert 1 <= len(built) <= threads
+    mesh = Mesh(*traj.bounding_box(), edge)
+    count = len(built)
+    terms = [
+        brakke._snapshot_terms(
+            discretize(traj.sample(i), mesh, subdivisions=1),
+            CurvatureQuery(pair, eps), phi,
+        )
+        for i in range(len(traj))
+    ]
+    assert len(built) == count + len(traj)
+    mass_phi, curvature_terms, transport_terms, failed, margins = zip(*terms)
+    fresh = brakke.ResidualReport(
+        traj.times, mass_phi, curvature_terms, transport_terms,
+        report.time_weights, report.time_rule, failed_per_snapshot=failed,
+        min_den_over_floor=margins,
+    )
+    assert fresh.residual == report.residual
+    for key in ("mass_phi", "curvature_terms", "transport_terms",
+                "failed_per_snapshot", "min_den_over_floor"):
+        assert np.array_equal(getattr(fresh, key), getattr(report, key))
 
 
 def test_brakke_residual_records_failures_per_snapshot():
