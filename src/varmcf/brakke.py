@@ -66,6 +66,8 @@ class RadialBump:
 
     def __init__(self, center, inner_radius, outer_radius):
         center = np.asarray(center, dtype=float)
+        if center.ndim != 1 or len(center) == 0:
+            raise ValueError("center must be a point, shape (n,)")
         inner_radius = float(inner_radius)
         outer_radius = float(outer_radius)
         if not 0.0 <= inner_radius < outer_radius:
@@ -82,19 +84,29 @@ class RadialBump:
         u = np.clip((s - self._s0) / self._ds, 0.0, 1.0)
         return 1.0 - _smoothstep(u)
 
+    def _rel(self, points):
+        """Points minus the centre; the points' last axis must match it."""
+        points = np.asarray(points, dtype=float)
+        if points.shape[-1:] != self.center.shape:
+            raise ValueError(
+                f"points of shape {points.shape} do not match the "
+                f"{len(self.center)}-dimensional center"
+            )
+        return points - self.center
+
     def __call__(self, points):
-        rel = np.asarray(points, dtype=float) - self.center
+        rel = self._rel(points)
         return self._ramp(np.einsum("...i,...i->...", rel, rel))
 
     def gradient(self, points):
-        rel = np.asarray(points, dtype=float) - self.center
+        rel = self._rel(points)
         s = np.einsum("...i,...i->...", rel, rel)
         u = np.clip((s - self._s0) / self._ds, 0.0, 1.0)
         coef = -_smoothstep_d1(u) * (2.0 / self._ds)
         return coef[..., None] * rel
 
     def hessian(self, points):
-        rel = np.asarray(points, dtype=float) - self.center
+        rel = self._rel(points)
         s = np.einsum("...i,...i->...", rel, rel)
         u = np.clip((s - self._s0) / self._ds, 0.0, 1.0)
         a = -_smoothstep_d1(u) * (2.0 / self._ds)

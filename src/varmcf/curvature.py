@@ -9,9 +9,11 @@ scale eps, the regularized quantities at a point y are
 and the approximate mean curvature is minus their quotient times the ratio
 of the pair's normalization constants (c_xi / c_rho), which makes the value
 invariant under rescaling either profile and consistent with the classical
-mean curvature as eps shrinks. Volumetric varifolds are evaluated through
-their midpoint subcell quadrature, refined automatically when the cell size
-is not small compared to eps.
+mean curvature as eps shrinks. A volumetric varifold is evaluated through
+its midpoint subcell quadrature, refined automatically when the cell size
+is not small compared to eps: only positions are expanded to subcell
+atoms, while each atom keeps its cell's plane and a 1 / s_a^n share of its
+mass, so the sums are contracted per cell.
 
 The neighbour search is a cell list (``cells.CellList``, the linked-cell
 method of molecular dynamics) over groups of atoms, cached on the varifold
@@ -25,8 +27,9 @@ every group with an atom within eps. Each probe then takes one of two
 paths, chosen from the probe alone:
 
 * Per pair. The (probe, group) pairs expand to (probe, atom) pairs, and
-  only those with |x_j - y| <= eps reach the kernels. The pairs of each
-  probe are summed in increasing atom index.
+  only those with |x_j - y| <= eps reach the kernels. Each pair keeps its
+  group index, and the pairs of each probe are summed in increasing atom
+  index.
 * Offset table. A probe that is one of the varifold's own quadrature nodes
   (subdivisions s_p) sits at a fixed subnode p of its cell, so its
   displacement to every atom of a cell k cells away is one of s_a^n fixed
@@ -45,9 +48,10 @@ paths, chosen from the probe alone:
   circle at h = eps^4 (2-core x86-64 VM) the table takes 0.84-0.95 s and
   201 MiB peak resident, the per-pair path 3.8-4.1 s and 69 MiB.
 
-Either way each probe's summation order is fixed by the probe, so results
-do not depend on the order of the probes, on the other probes of the batch
-or on how they are cut into runs.
+Both paths end in one contraction of (probe, group) kernel values against
+the group masses and projector columns. Either way each probe's summation
+order is fixed by the probe, so results do not depend on the order of the
+probes, on the other probes of the batch or on how they are cut into runs.
 """
 
 from __future__ import annotations
@@ -165,24 +169,6 @@ def _groups(varifold, query):
     return s, s**varifold.n, varifold.h * (s - 1) / (2 * s)
 
 
-def _atom_cloud(varifold, s):
-    """The atoms summed over by the per-pair path.
-
-    Returns (positions, projector columns, masses). Projector column k of
-    every atom is stored contiguously as entry k of the (n, N, n) column
-    array. A volumetric varifold is expanded into its s^n subcell nodes per
-    cell, cell-major, so atoms ``g * s^n`` to ``(g + 1) * s^n - 1`` belong
-    to cell g.
-    """
-    key = ("atom_cloud", s)
-    if key not in varifold._caches:
-        pts, proj, masses = varifold.atoms(s)
-        columns = np.ascontiguousarray(np.moveaxis(proj, 2, 0))
-        columns.flags.writeable = False
-        varifold._caches[key] = (pts, columns, masses)
-    return varifold._caches[key]
-
-
 def _offset_table(varifold, query, s_a, big_k):
     """Subcell kernel sums of one cell by probe subnode and cell offset.
 
@@ -236,43 +222,81 @@ def _offset_table(varifold, query, s_a, big_k):
     return xi_sums, rho_sums
 
 
-def _chunk_sums(varifold, query, s, points, indptr, cols):
+def _columns(projectors):
+    """Column k of every (n, n) matrix as entry k of an (n, N, n) array."""
+    return np.ascontiguousarray(np.moveaxis(projectors, 2, 0))
+
+
+def _atoms(varifold, s):
+    """The atoms summed over by the per-pair path, by group.
+
+    Returns (atom positions, mass of each atom of a group, projector
+    columns of the groups). A volumetric varifold expands only its
+    positions: the s^n subcell nodes of each cell, cell-major, so atoms
+    ``g * s^n`` to ``(g + 1) * s^n - 1`` belong to cell g, and each carries
+    1 / s^n of its cell's mass and the cell's plane. An atomic varifold's
+    atoms are its groups.
+    """
+    if s is None:
+        pts, masses = varifold.positions, varifold.masses
+    else:
+        pts = varifold.quadrature_points(s)[0]
+        masses = varifold.masses / s**varifold.n
+    return pts, masses, _columns(varifold.projectors)
+
+
+def _contract(xi, first_variation, indptr, groups, masses, columns, eps):
+    """First variation and mass of a run of probes from its pairs' kernels.
+
+    The pairs are CSR structure over (probe, group), a group repeated once
+    per atom of it in reach. With ``xi`` at each pair the CSR matrix gives
+    the mass ``(c @ masses) eps^-n``; with ``first_variation(k)``, the
+    pairs' weights for axis k, it adds ``c @ columns[k]``. Each product
+    adds a row's entries in stored order from 0.0, repeated groups
+    included, so every probe sums in the order of its pairs.
+    """
+    n = len(columns)
+    c = csr_matrix((xi, groups, indptr), shape=(len(indptr) - 1, len(masses)))
+    den = (c @ masses) * eps ** (-n)
+    num = np.zeros((len(indptr) - 1, n))
+    for k in range(n):
+        c.data = first_variation(k)
+        num += c @ columns[k]
+    return num, den
+
+
+def _chunk_sums(varifold, query, atoms, points, indptr, groups):
     """First variation and mass at a run of probes, pair by pair.
 
-    Each (probe, group) pair of the run's CSR structure expands to (probe,
-    atom) pairs held as CSR rows with sorted atom columns, so every probe
-    sums its pairs in the same order whatever run it is in.
+    Each (probe, group) pair of the run's CSR structure expands to one
+    pair per atom of the group, in atom order; only those with
+    |x_j - y| <= eps reach the kernels. Groups are sorted within a row, so
+    every probe sums its atoms in increasing index whatever run it is in.
     """
-    pts, columns, masses = _atom_cloud(varifold, s)
-    n_atoms, n = pts.shape
-    size = n_atoms // len(varifold)
-    eps = query.epsilon
-    pair = query.pair
+    pts, masses, columns = atoms
+    size = len(pts) // len(masses)
+    n, eps, pair = varifold.n, query.epsilon, query.pair
     indptr = indptr * size
+    atom = groups
     if size > 1:
-        # groups are runs of consecutive atoms: sorted groups sort the atoms
-        cols = (cols[:, None] * size + np.arange(size)).ravel()
-    diff = np.take(pts, cols, axis=0)
+        # groups are runs of consecutive atoms
+        atom = (groups[:, None] * size + np.arange(size)).ravel()
+        groups = np.repeat(groups, size)
+    diff = np.take(pts, atom, axis=0)
     diff -= np.repeat(points, np.diff(indptr), axis=0)
     r = np.sqrt(np.einsum("pi,pi->p", diff, diff))
     if len(r) and r.max() > eps:
         near = r <= eps
         indptr = np.concatenate(([0], np.cumsum(near)))[indptr]
         near = np.flatnonzero(near)
-        cols, r = np.take(cols, near), np.take(r, near)
+        groups, r = np.take(groups, near), np.take(r, near)
         diff = np.take(diff, near, axis=0)
     u = r / eps
-    c = csr_matrix((pair.xi(u), cols, indptr), shape=(len(points), n_atoms))
-    # adds xi_j * m_j in pair order, from 0.0, for each probe
-    den = (c @ masses) * eps ** (-n)
     # grad rho_eps(w) = eps^-(n+1) rho'(|w|/eps) w/|w|, zero at w=0
-    w = np.take(masses, cols) * pair.rho.derivative(u) / np.maximum(r, 1e-300)
+    w = np.take(masses, groups) * pair.rho.derivative(u) / np.maximum(r, 1e-300)
     w *= eps ** (-(n + 1))
-    num = np.zeros((len(points), n))
-    for k in range(n):
-        c.data = w * diff[:, k]
-        num += c @ columns[k]
-    return num, den
+    return _contract(pair.xi(u), lambda k: w * diff[:, k], indptr, groups,
+                     masses, columns, eps)
 
 
 def _node_chunk_sums(varifold, query, table, probe_base, indptr, cells):
@@ -284,17 +308,10 @@ def _node_chunk_sums(varifold, query, table, probe_base, indptr, cells):
     contracted with the cell masses and mass-weighted projector columns.
     """
     xi_sums, rho_sums, cell_base, columns = table
-    n = varifold.n
     at = np.take(cell_base, cells)
     at += np.repeat(probe_base, np.diff(indptr))
-    c = csr_matrix((np.take(xi_sums, at), cells, indptr),
-                   shape=(len(probe_base), len(varifold)))
-    den = (c @ varifold.masses) * query.epsilon ** (-n)
-    num = np.zeros((len(probe_base), n))
-    for k in range(n):
-        c.data = np.take(rho_sums[k], at)
-        num += c @ columns[k]
-    return num, den
+    return _contract(np.take(xi_sums, at), lambda k: np.take(rho_sums[k], at),
+                     indptr, cells, varifold.masses, columns, query.epsilon)
 
 
 def _node_path(varifold, query, s, reach, points):
@@ -327,9 +344,7 @@ def _node_path(varifold, query, s, reach, points):
     # k = cell - probe cell: split into a probe part and a cell part
     subnode = np.ravel_multi_index(tuple(sub.T), (s_p,) * n)
     probe_base = subnode * side**n + (big_k - cell) @ strides
-    columns = np.ascontiguousarray(np.moveaxis(
-        varifold.masses[:, None, None] * varifold.projectors, 2, 0
-    ))
+    columns = _columns(varifold.masses[:, None, None] * varifold.projectors)
     table = (xi_sums, rho_sums, varifold.cell_indices @ strides, columns)
     return nodes, table, probe_base
 
@@ -354,11 +369,12 @@ def _pair_sums(varifold, query, points):
     num = np.zeros((len(points), n))
     den = np.zeros(len(points))
     nodes, table, probe_base = _node_path(varifold, query, s, reach, points)
+    atoms = None if nodes.all() else _atoms(varifold, s)
     # (probes, atoms per candidate group, sums over a run's pairs): the
     # candidate counts times the atoms per group bound each probe's pairs
     paths = (
         (~nodes, size, lambda run, *pairs: _chunk_sums(
-            varifold, query, s, points[run], *pairs)),
+            varifold, query, atoms, points[run], *pairs)),
         (nodes, 1, lambda run, *pairs: _node_chunk_sums(
             varifold, query, table, probe_base[run], *pairs)),
     )

@@ -14,21 +14,16 @@ import numpy as np
 from .varifold import _no_cells, _WeightedAtoms
 
 __all__ = [
-    "Plane",
     "WeightedSample",
     "AnalyticShape",
     "Circle",
     "Ellipse",
     "Sphere",
     "Torus",
-    "projector_distance",
     "make_shape",
 ]
 
-# Tolerances for projector invariants and on-shape membership checks.
-SYMMETRY_TOL = 1e-12
-IDEMPOTENT_TOL = 1e-10
-TRACE_TOL = 1e-10
+# Tolerance of on-shape membership checks.
 ON_SHAPE_TOL = 1e-8
 
 
@@ -42,79 +37,6 @@ def _as_points(y, n):
     if y.ndim != 2 or y.shape[1] != n:
         raise ValueError(f"expected points shaped (N, {n}), got {y.shape}")
     return y, False
-
-
-class Plane:
-    """A d-dimensional linear subspace of R^n stored as an orthogonal projector.
-
-    Parameters
-    ----------
-    projector : (n, n) array_like
-        Symmetric idempotent matrix projecting onto the subspace.
-    dim : int, optional
-        Subspace dimension. Inferred from the trace when omitted.
-
-    Raises
-    ------
-    ValueError
-        If the matrix is not symmetric (1e-12), not idempotent (1e-10),
-        or its trace differs from ``dim`` by more than 1e-10.
-    """
-
-    __slots__ = ("projector", "dim")
-
-    def __init__(self, projector, dim=None):
-        p = np.array(projector, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError(f"projector must be square, got shape {p.shape}")
-        if np.max(np.abs(p - p.T)) > SYMMETRY_TOL:
-            raise ValueError("projector is not symmetric within 1e-12")
-        if np.max(np.abs(p @ p - p)) > IDEMPOTENT_TOL:
-            raise ValueError("projector is not idempotent within 1e-10")
-        tr = float(np.trace(p))
-        if dim is None:
-            dim = int(round(tr))
-        if abs(tr - dim) > TRACE_TOL:
-            raise ValueError(f"trace {tr} does not match dimension {dim}")
-        p.flags.writeable = False
-        self.projector = p
-        self.dim = int(dim)
-
-    @classmethod
-    def from_basis(cls, basis):
-        """Build the plane spanned by the rows of ``basis`` (d, n)."""
-        b = np.atleast_2d(np.asarray(basis, dtype=float))
-        q, _ = np.linalg.qr(b.T)
-        q = q[:, : b.shape[0]]
-        return cls(q @ q.T, b.shape[0])
-
-    @property
-    def n(self):
-        return self.projector.shape[0]
-
-    def __repr__(self):
-        return f"Plane(dim={self.dim}, n={self.n})"
-
-
-def projector_distance(p, q):
-    """Frobenius distance between two planes' projectors.
-
-    Accepts ``Plane`` objects or raw projector arrays. Two orthogonal lines
-    in R^2 are at distance sqrt(2); the x-axis and the 45-degree line are at
-    distance 1.
-    """
-    if isinstance(p, Plane) and isinstance(q, Plane):
-        if p.dim != q.dim or p.n != q.n:
-            raise ValueError(
-                f"dimension mismatch: ({p.dim}, {p.n}) vs ({q.dim}, {q.n})"
-            )
-        a, b = p.projector, q.projector
-    else:
-        a = p.projector if isinstance(p, Plane) else np.asarray(p, dtype=float)
-        b = q.projector if isinstance(q, Plane) else np.asarray(q, dtype=float)
-        if a.shape != b.shape:
-            raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b, "fro"))
 
 
 class WeightedSample(_WeightedAtoms):

@@ -317,6 +317,11 @@ def ahlfors_scan(obj, d, radii, max_probes=64, probes=None):
         probes = measure.positions[idx]
     else:
         probes = np.atleast_2d(np.asarray(probes, dtype=float))
+        if probes.ndim != 2 or probes.shape[1] != measure.n:
+            raise ValueError(
+                f"probes of shape {probes.shape} do not match the measure's "
+                f"dimension {measure.n}"
+            )
     rows = []
     for p in range(len(probes)):
         diff = measure.positions - probes[p]

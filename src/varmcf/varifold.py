@@ -11,8 +11,6 @@ expose a ``jacobian`` method mapping (N, n) to (N, n, n).
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 __all__ = [
@@ -65,11 +63,10 @@ class _WeightedAtoms:
     masses) of shapes (N, n), (N, n, n) and (N,); every integral is a
     mass-weighted sum over these atoms.
 
-    The varifolds keep derived arrays (quadrature nodes, atoms, the
-    curvature engine's atom cloud and cell lists) in ``_caches``, filled
-    by check-then-set without a lock: threads that miss together each
-    compute the same deterministic value and one is kept, so a race can
-    only repeat work.
+    The varifolds keep derived arrays (quadrature nodes, atoms and the
+    curvature engine's cell lists) in ``_caches``, filled by check-then-set
+    without a lock: threads that miss together each compute the same
+    deterministic value and one is kept, so a race can only repeat work.
     """
 
     __slots__ = ()
@@ -149,71 +146,7 @@ class _AtomicVarifold(_WeightedAtoms):
 
 
 class PointCloudVarifold(_AtomicVarifold):
-    """Varifold supported on an unstructured weighted point cloud.
-
-    CSV interchange format: header row, then one row per atom with columns
-    x1..xn, mass, followed by d*n tangent basis entries (basis vectors
-    stored row-major).
-    """
-
-    def to_csv(self, path):
-        n, d = self.n, self.d
-        basis = _basis_from_projectors(self.projectors, d)
-        header = (
-            [f"x{i + 1}" for i in range(n)]
-            + ["mass"]
-            + [f"t{a + 1}_{i + 1}" for a in range(d) for i in range(n)]
-        )
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(len(self)):
-                row = (
-                    [_fmt(v) for v in self.positions[k]]
-                    + [_fmt(self.masses[k])]
-                    + [_fmt(v) for v in basis[k].reshape(-1)]
-                )
-                writer.writerow(row)
-
-    @classmethod
-    def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError("empty point cloud file") from None
-            rows = list(reader)
-        n = sum(1 for name in header if name.startswith("x"))
-        if n == 0 or len(header) <= n or header[n] != "mass":
-            raise ValueError("header must be x1..xn, mass, tangent columns")
-        rest = len(header) - n - 1
-        if rest == 0 or rest % n != 0:
-            raise ValueError(
-                f"tangent block of {rest} columns is not a multiple of n={n}"
-            )
-        d = rest // n
-        data = []
-        for row in rows:
-            if len(row) != len(header):
-                raise ValueError(
-                    f"row has {len(row)} columns, expected {len(header)}"
-                )
-            data.append([float(v) for v in row])
-        if not data:
-            raise ValueError("point cloud file has no atoms")
-        data = np.asarray(data, dtype=float)
-        if not np.all(np.isfinite(data)):
-            raise ValueError("non-finite values in point cloud file")
-        positions = data[:, :n]
-        masses = data[:, n]
-        basis = data[:, n + 1:].reshape(-1, d, n)
-        projectors = np.empty((len(data), n, n))
-        for k in range(len(data)):
-            q, _ = np.linalg.qr(basis[k].T)
-            q = q[:, :d]
-            projectors[k] = q @ q.T
-        return cls(positions, projectors, masses, dim=d)
+    """Varifold supported on an unstructured weighted point cloud."""
 
 
 class SampledManifoldVarifold(_AtomicVarifold):
@@ -375,13 +308,3 @@ class VolumetricVarifold(_WeightedAtoms):
             self._caches[key] = (pts, proj, masses)
         return self._caches[key]
 
-
-def _basis_from_projectors(projectors, d):
-    """Orthonormal tangent bases (N, d, n) extracted from projectors."""
-    _, vecs = np.linalg.eigh(projectors)
-    # eigh sorts ascending; the top-d eigenvectors span the plane.
-    return np.swapaxes(vecs[..., -d:], -1, -2)
-
-
-def _fmt(v):
-    return f"{float(v):.17g}"

@@ -125,6 +125,18 @@ def test_bump_norms():
         RadialBump([0.0, 0.0], 1.0, 0.5)
 
 
+def test_bump_rejects_points_of_another_dimension():
+    # numpy would broadcast a length-1 centre to (0.3, 0.3) on 2-D points
+    bump = RadialBump([0.3], 0.2, 1.4)
+    pts = np.array([[0.3, 0.3], [0.0, 0.0]])
+    for evaluate in (bump, bump.gradient, bump.hessian):
+        with pytest.raises(ValueError, match="1-dimensional center"):
+            evaluate(pts)
+    np.testing.assert_array_equal(bump(np.array([[0.3], [0.35]])), 1.0)
+    with pytest.raises(ValueError, match="center"):
+        RadialBump([[0.0, 0.0]], 0.2, 1.4)
+
+
 def test_vector_fields_and_jacobians():
     pts = np.array([[0.1, 0.2], [0.5, -0.3]])
     const = ConstantVectorField([1.0, -2.0])

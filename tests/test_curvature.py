@@ -217,6 +217,19 @@ def test_sums_follow_atom_index_order_exactly(make_case):
         _assert_relatively_close(den[nodes], den_ref[nodes])
 
 
+def test_per_pair_path_expands_positions_only():
+    # off-node probes sum over the subcell nodes at s_a, paired with their
+    # cells' planes and masses: no per-atom projectors are built or kept
+    vol, pair, eps, probes = _volumetric_circle_case()
+    s_a = _atom_subdivisions(vol, eps)
+    assert s_a > vol.subdivisions
+    assert not vol.quadrature_index(probes)[0].any()
+    regularized_sums(vol, CurvatureQuery(pair, eps), probes)
+    assert ("quadrature", s_a) in vol._caches
+    assert ("atoms", s_a) not in vol._caches
+    assert ("atom_cloud", s_a) not in vol._caches
+
+
 @pytest.mark.parametrize(
     "make_case", [_sphere_case, _volumetric_circle_case, _own_node_circle_case]
 )

@@ -7,46 +7,10 @@ from scipy.special import ellipe
 from varmcf.geometry import (
     Circle,
     Ellipse,
-    Plane,
     Sphere,
     Torus,
     make_shape,
-    projector_distance,
 )
-
-
-def test_plane_invariants_enforced():
-    with pytest.raises(ValueError, match="symmetric"):
-        Plane(np.array([[1.0, 1e-6], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="idempotent"):
-        Plane(np.array([[0.5, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="trace"):
-        Plane(np.eye(2), dim=1)
-
-
-def test_plane_from_basis_orthonormalizes():
-    # Non-orthonormal basis of the xy-plane in R^3.
-    basis = np.array([[2.0, 0.0, 0.0], [1.0, 3.0, 0.0]])
-    p = Plane.from_basis(basis)
-    expected = np.diag([1.0, 1.0, 0.0])
-    assert np.max(np.abs(p.projector - expected)) < 1e-12
-    assert p.dim == 2
-
-
-def test_projector_distance_examples():
-    x_axis = Plane.from_basis([[1.0, 0.0]])
-    y_axis = Plane.from_basis([[0.0, 1.0]])
-    diag = Plane.from_basis([[1.0, 1.0]])
-    assert abs(projector_distance(x_axis, y_axis) - np.sqrt(2)) < 1e-14
-    assert abs(projector_distance(x_axis, diag) - 1.0) < 1e-14
-    assert projector_distance(x_axis, x_axis) == 0.0
-
-
-def test_projector_distance_dimension_mismatch():
-    line = Plane.from_basis([[1.0, 0.0]])
-    plane3 = Plane.from_basis([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    with pytest.raises(ValueError, match="mismatch"):
-        projector_distance(line, plane3)
 
 
 def test_circle_mean_curvature_value():

@@ -162,6 +162,15 @@ def test_negative_mass_rejected():
         PointCloudVarifold(positions, proj, np.array([-1.0]))
 
 
+@pytest.mark.parametrize("field", ["positions", "masses", "projectors"])
+def test_non_finite_atoms_rejected(field):
+    data = dict(positions=np.zeros((1, 2)), masses=np.array([1.0]),
+                projectors=np.diag([1.0, 0.0])[None])
+    data[field].flat[-1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        PointCloudVarifold(**data)
+
+
 def test_invalid_projector_rejected():
     positions = np.zeros((1, 2))
     bad = np.array([[[0.5, 0.4], [0.1, 0.5]]])
@@ -169,50 +178,15 @@ def test_invalid_projector_rejected():
         PointCloudVarifold(positions, bad, np.array([1.0]))
 
 
-def test_csv_round_trip_preserves_projectors(tmp_path):
-    rng = np.random.default_rng(19)
-    v = _random_cloud(rng, count=25, n=3, d=2)
-    path = tmp_path / "cloud.csv"
-    v.to_csv(path)
-    w = PointCloudVarifold.from_csv(path)
-    assert w.n == 3 and w.d == 2
-    np.testing.assert_allclose(w.positions, v.positions, rtol=0, atol=0)
-    np.testing.assert_allclose(w.masses, v.masses, rtol=0, atol=0)
-    np.testing.assert_allclose(w.projectors, v.projectors, atol=1e-12)
-
-
-def test_csv_two_atom_example(tmp_path):
-    path = tmp_path / "pair.csv"
-    path.write_text(
-        "x1,x2,mass,t1_1,t1_2\n"
-        "0,0,0.5,1,0\n"
-        "1,0,0.5,0,1\n"
-    )
-    v = PointCloudVarifold.from_csv(path)
+def test_two_atom_constant_field_has_zero_first_variation():
+    # two unit-half atoms on orthogonal lines: a constant field has zero
+    # Jacobian, so its first variation is exactly 0
+    positions = np.array([[0.0, 0.0], [1.0, 0.0]])
+    proj = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    v = PointCloudVarifold(positions, proj, np.array([0.5, 0.5]))
     assert v.mass_total() == pytest.approx(1.0, rel=1e-15)
     const = LinearField(np.zeros((2, 2)), offset=[3.0, -2.0])
     assert v.first_variation(const) == 0.0
-
-
-def test_csv_rejects_bad_column_count(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("x1,x2,mass,t1_1,t1_2\n0,0,0.5,1\n")
-    with pytest.raises(ValueError, match="columns"):
-        PointCloudVarifold.from_csv(path)
-
-
-def test_csv_rejects_non_finite(tmp_path):
-    path = tmp_path / "nan.csv"
-    path.write_text("x1,x2,mass,t1_1,t1_2\n0,nan,0.5,1,0\n")
-    with pytest.raises(ValueError, match="finite"):
-        PointCloudVarifold.from_csv(path)
-
-
-def test_csv_rejects_misshapen_tangent_block(tmp_path):
-    path = tmp_path / "odd.csv"
-    path.write_text("x1,x2,mass,t1_1\n0,0,0.5,1\n")
-    with pytest.raises(ValueError, match="multiple"):
-        PointCloudVarifold.from_csv(path)
 
 
 class _StubMesh:
