@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -503,7 +502,11 @@ def _atom_terms(masses, phi_vals, grad_vals, h_vals):
 def _snapshot_terms(volumetric, query, phi):
     """Mass, curvature, and transport integrals of one snapshot, with its
     failed-node count and smallest denominator over the floor."""
-    pts, _, per_node = volumetric.atoms()
+    # the nodes and their masses as ``atoms()`` gives them, without its
+    # per-node projector copy
+    pts = volumetric.quadrature_points()[0]
+    per_cell = volumetric.subdivisions ** volumetric.n
+    per_node = np.repeat(volumetric.masses / per_cell, per_cell)
     phi_vals = phi(pts)
     grad_vals = phi.gradient(pts)
     active = (phi_vals != 0.0) | np.any(grad_vals != 0.0, axis=1)
@@ -557,6 +560,10 @@ def brakke_residual(trajectory, edge, pair, epsilon, phi,
     count = _thread_count(threads)
     indices = range(len(trajectory.times))
     if count > 1:
+        # imported on use: the default serial path never needs it, and
+        # loading it (logging included) is a visible part of the import
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=count) as pool:
             results = list(pool.map(one, indices))
     else:

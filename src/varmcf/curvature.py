@@ -46,12 +46,17 @@ paths, chosen from the probe alone:
   by ``VolumetricVarifold.quadrature_index``, beside the node formula. On the
   27,048 nodes of an eps-0.2, s_p = 2 snapshot of the 32,768-sample unit
   circle at h = eps^4 (2-core x86-64 VM) the table takes 0.84-0.95 s and
-  201 MiB peak resident, the per-pair path 3.8-4.1 s and 69 MiB.
+  178 MiB peak resident, the per-pair path 3.8-4.1 s and 69 MiB.
 
-Both paths end in one contraction of (probe, group) kernel values against
-the group masses and projector columns. Either way each probe's summation
-order is fixed by the probe, so results do not depend on the order of the
-probes, on the other probes of the batch or on how they are cut into runs.
+The two paths share no contraction. The per-pair path multiplies its
+(probe, group) kernel values, as CSR matrices, into the group masses and
+projector columns; ``scipy.sparse`` is imported on its first use. The
+offset-table path weighs each gathered entry with its cell's mass and
+mass-weighted projector and sums each probe's contiguous row of pairs with
+``np.add.reduceat``, so a flow residual loads no scipy. Either way each
+probe's summation order is fixed by the probe, so results do not depend on
+the order of the probes, on the other probes of the batch or on how they
+are cut into runs.
 """
 
 from __future__ import annotations
@@ -59,7 +64,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .cells import CellList
 from .varifold import VolumetricVarifold
@@ -177,9 +181,10 @@ def _offset_table(varifold, query, s_a, big_k):
     d/|d|)`` over the cell's subcell atoms a, where
     ``d = (k + (a + 1/2)/s_a - (p + 1/2)/s_p) edge``. Offsets run over
     [-K, K]^n; only offsets whose cell holds an atom within eps are
-    evaluated, the others stay zero. Returns read-only (xi sums, (n, ...)
-    first-variation sums), flat in the order (p, k + K) row-major. Built
-    once per query and key by ``_node_path``.
+    evaluated, the others stay zero. Returns one read-only (1 + n, ...)
+    array: row 0 the xi sums, rows 1 to n the first-variation sums, each
+    flat in the order (p, k + K) row-major. Built once per query and key
+    by ``_node_path``.
     """
     n, s_p = varifold.n, varifold.subdivisions
     edge, eps, pair = varifold.mesh.edge, query.epsilon, query.pair
@@ -210,16 +215,15 @@ def _offset_table(varifold, query, s_a, big_k):
     u = r / eps
     per_cell = s_a**n
     size = s_p**n * side**n
-    xi_sums = np.zeros(size)
-    xi_sums[kept] = pair.xi(u).reshape(-1, per_cell).sum(axis=1) / per_cell
+    xi = pair.xi(u).reshape(-1, per_cell).sum(axis=1) / per_cell
     w = pair.rho.derivative(u) / np.maximum(r, 1e-300) * eps ** (-(n + 1))
-    rho_sums = np.zeros((n, size))
-    rho_sums[:, kept] = (
-        (w[:, None] * diff).reshape(-1, per_cell, n).sum(axis=1).T
-        / per_cell
-    )
-    xi_sums.flags.writeable = rho_sums.flags.writeable = False
-    return xi_sums, rho_sums
+    rho = (w[:, None] * diff).reshape(-1, per_cell, n).sum(axis=1) / per_cell
+    # allocated after the per-radius products, which set the peak
+    sums = np.zeros((1 + n, size))
+    sums[0, kept] = xi
+    sums[1:, kept] = rho.T
+    sums.flags.writeable = False
+    return sums
 
 
 def _columns(projectors):
@@ -255,6 +259,8 @@ def _contract(xi, first_variation, indptr, groups, masses, columns, eps):
     adds a row's entries in stored order from 0.0, repeated groups
     included, so every probe sums in the order of its pairs.
     """
+    from scipy.sparse import csr_matrix
+
     n = len(columns)
     c = csr_matrix((xi, groups, indptr), shape=(len(indptr) - 1, len(masses)))
     den = (c @ masses) * eps ** (-n)
@@ -304,24 +310,39 @@ def _node_chunk_sums(varifold, query, table, probe_base, indptr, cells):
 
     Each (probe, cell) pair of the run's CSR structure gathers its cell's
     subcell sums from the offset table at ``probe_base + cell_base``, the
-    flat index of its (subnode, offset) entry; the gathered sums are
-    contracted with the cell masses and mass-weighted projector columns.
+    flat index of its (subnode, offset) entry, and weighs them with the
+    cell's mass and mass-weighted projector. Each probe's pairs are one
+    contiguous row, summed by ``np.add.reduceat``, so its rounding depends
+    on that row alone.
     """
-    xi_sums, rho_sums, cell_base, columns = table
+    sums, cell_base, weighted = table
+    n = varifold.n
     at = np.take(cell_base, cells)
     at += np.repeat(probe_base, np.diff(indptr))
-    return _contract(np.take(xi_sums, at), lambda k: np.take(rho_sums[k], at),
-                     indptr, cells, varifold.masses, columns, query.epsilon)
+    # a probe at a node of an empty cell may have no cell within reach;
+    # its row is empty and sums to zero, which reduceat does not give
+    rows = np.flatnonzero(indptr[:-1] < indptr[1:])
+    starts = indptr[rows]
+    totals = np.zeros((1 + n, len(indptr) - 1))
+    terms = np.take(sums[0], at) * np.take(varifold.masses, cells)
+    totals[0, rows] = np.add.reduceat(terms, starts)
+    rho = [np.take(sums[1 + k], at) for k in range(n)]
+    for i in range(n):
+        terms = np.take(weighted[i, 0], cells) * rho[0]
+        for k in range(1, n):
+            terms += np.take(weighted[i, k], cells) * rho[k]
+        totals[1 + i, rows] = np.add.reduceat(terms, starts)
+    return totals[1:].T, totals[0] * query.epsilon ** (-n)
 
 
 def _node_path(varifold, query, s, reach, points):
     """Probes that take the offset table, the table and their flat bases.
 
-    Returns (mask, table, probe_base) with table = (xi sums, first-variation
-    sums, flat offset base of each cell, mass-weighted projector columns of
-    the cells), or (all False, None, None). The table serves a volumetric
-    varifold probed at any of its own quadrature nodes, unless its box of
-    offsets, K = ceil(reach / edge) + 1 cells each way, exceeds
+    Returns (mask, table, probe_base) with table = (offset table, flat
+    offset base of each cell, (n, n, M) mass-weighted projectors of the
+    cells, entry-major), or (all False, None, None). The table serves a
+    volumetric varifold probed at any of its own quadrature nodes, unless
+    its box of offsets, K = ceil(reach / edge) + 1 cells each way, exceeds
     ``_TABLE_BUDGET`` as it reads at the call.
     """
     off = np.zeros(len(points), dtype=bool)
@@ -338,14 +359,15 @@ def _node_path(varifold, query, s, reach, points):
     key = (edge, n, s_p, s, reach, query.pair, query.epsilon)
     if key not in query._tables:
         query._tables[key] = _offset_table(varifold, query, s, big_k)
-    xi_sums, rho_sums = query._tables[key]
     strides = side ** np.arange(n - 1, -1, -1)
     # flat index of (p, k + K) is p side^n + (k + K) . strides with
     # k = cell - probe cell: split into a probe part and a cell part
     subnode = np.ravel_multi_index(tuple(sub.T), (s_p,) * n)
     probe_base = subnode * side**n + (big_k - cell) @ strides
-    columns = _columns(varifold.masses[:, None, None] * varifold.projectors)
-    table = (xi_sums, rho_sums, varifold.cell_indices @ strides, columns)
+    # entry (i, k) of every cell's mass-weighted projector, contiguous
+    weighted = np.ascontiguousarray(np.moveaxis(
+        varifold.masses[:, None, None] * varifold.projectors, 0, 2))
+    table = (query._tables[key], varifold.cell_indices @ strides, weighted)
     return nodes, table, probe_base
 
 

@@ -111,8 +111,10 @@ def discretize(sample, mesh, subdivisions=2):
     """Bin a weighted sample into a :class:`VolumetricVarifold`.
 
     ``sample`` is any set with ``atoms()``: a ``WeightedSample`` or an
-    atomic varifold. Binning is order-independent: points are grouped by
-    cell with a stable sort before any accumulation.
+    atomic varifold. The grouping does not depend on the order of the
+    points: the same cells hold the same points. Each cell sums its points
+    in sample order (a stable sort groups them), so a permuted sample gives
+    masses and planes that agree up to rounding, not bitwise.
     """
     positions, projectors, weights = sample.atoms()
     d = _plane_dim(projectors)

@@ -32,7 +32,6 @@ from __future__ import annotations
 import sys
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "AtomicMeasure",
@@ -197,6 +196,9 @@ def _violated_rows(pts, pos, neg, phi, lip, kept):
 def _solve_rows(pts, c, pi, qi, d):
     """Solve the distance LP with the given slope rows; returns the optimal
     (phi, L, value)."""
+    # scipy.optimize, which linprog needs anyway, loads scipy.sparse
+    from scipy import sparse
+
     k = len(pts)
     m = len(d)
     # variables: phi_1..phi_k, a (sup bound), L (lipschitz bound); rows:

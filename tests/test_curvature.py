@@ -552,6 +552,30 @@ def test_mixed_batch_gives_each_probe_its_own_bits(monkeypatch):
         assert alone.denominators[0] == field.denominators[k]
 
 
+@pytest.mark.parametrize("budget", [1, 300, 32_768])
+def test_node_of_an_empty_cell_out_of_reach_sums_to_zero(monkeypatch,
+                                                         budget):
+    # Nodes of unoccupied cells near the circle's centre have no cell in
+    # reach, so their rows of (probe, cell) pairs are empty, at the start,
+    # middle or end of a run or as a run of their own.
+    vol, pair, eps, probes = _own_node_circle_case()
+    monkeypatch.setattr(curvature, "_PAIR_BUDGET", budget)
+    empty = vol._node(np.array([[11, 11], [12, 11], [11, 12]]),
+                      np.zeros((3, 2), dtype=int), vol.subdivisions)
+    batch = np.vstack([empty[:1], probes[:4], empty[1:], probes[4:8]])
+    assert vol.quadrature_index(batch)[0].all()
+    query = CurvatureQuery(pair, eps)
+    seen = _count_node_probes(monkeypatch)
+    num, den = regularized_sums(vol, query, batch)
+    assert sum(seen) == len(batch)
+    hollow = np.isin(np.arange(len(batch)), [0, 5, 6])
+    assert not num[hollow].any() and not den[hollow].any()
+    assert np.all(den[~hollow] > 0)
+    for k, probe in enumerate(batch):
+        alone = regularized_sums(vol, query, probe)
+        assert np.array_equal(alone[0], num[k]) and alone[1] == den[k]
+
+
 def test_oversized_offset_table_falls_back_to_per_pair_path(monkeypatch):
     # The box of offsets spans (s_p (2K + 1) s_a)^n subcell radii, with
     # K = ceil(reach / edge) + 1 cells on each side of the probe's cell.
