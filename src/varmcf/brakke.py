@@ -353,8 +353,8 @@ def measure_tangent_lipschitz(shape, resolution, max_separation=0.1):
     proj = sample.projectors
     cells = CellList(pts, max_separation * (1.0 + 1e-9))
     best = 0.0
-    for run, indptr, j in cells.runs(pts, _PAIR_BLOCK):
-        i = np.repeat(run, np.diff(indptr))
+    for run, indptr, pos, *_ in cells.runs(pts, _PAIR_BLOCK):
+        i, j = np.repeat(run, np.diff(indptr)), np.take(cells.order, pos)
         i, j = i[i < j], j[i < j]
         diff = np.take(pts, i, axis=0) - np.take(pts, j, axis=0)
         dist = np.sqrt(np.einsum("pi,pi->p", diff, diff))
@@ -502,11 +502,7 @@ def _atom_terms(masses, phi_vals, grad_vals, h_vals):
 def _snapshot_terms(volumetric, query, phi):
     """Mass, curvature, and transport integrals of one snapshot, with its
     failed-node count and smallest denominator over the floor."""
-    # the nodes and their masses as ``atoms()`` gives them, without its
-    # per-node projector copy
-    pts = volumetric.quadrature_points()[0]
-    per_cell = volumetric.subdivisions ** volumetric.n
-    per_node = np.repeat(volumetric.masses / per_cell, per_cell)
+    pts, per_node = volumetric.mass_atoms()
     phi_vals = phi(pts)
     grad_vals = phi.gradient(pts)
     active = (phi_vals != 0.0) | np.any(grad_vals != 0.0, axis=1)

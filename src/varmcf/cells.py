@@ -24,13 +24,14 @@ class CellList:
     """Points within ``reach`` of probes, among fixed centres.
 
     The centres are binned into cubic blocks of side reach / w
-    (w = ``_BLOCK_SPLIT``) and stable-sorted by linear block index, so the
-    centres of a block are contiguous and in increasing index. A centre
-    within reach of a probe lies within w blocks of the probe's block on
-    every axis; along the last axis those 2w + 1 blocks are consecutive, so
-    a probe's candidates are (2w + 1)^(n-1) contiguous ranges of the sorted
-    centres. The grid is padded by 2w + 1 blocks, so the ranges of every
-    probe that can have candidates lie inside it; other probes get none.
+    (w = ``_BLOCK_SPLIT``) and stable-sorted by linear block index: centre
+    ``order[i]`` is at sorted position i, and the centres of a block are
+    contiguous. A centre within reach of a probe lies within w blocks of
+    the probe's block on every axis; along the last axis those 2w + 1
+    blocks are consecutive, so a probe's candidates are (2w + 1)^(n-1)
+    contiguous ranges of the sorted centres, in increasing position. The
+    grid is padded by 2w + 1 blocks, so the ranges of every probe that can
+    have candidates lie inside it; other probes get none.
     Raises ValueError if the linear block index could overflow int64.
     """
 
@@ -70,9 +71,10 @@ class CellList:
         """Visit the probes in block order, in runs of at most ``budget``
         candidates times ``size`` (or one probe).
 
-        Yields (run, indptr, groups): the run's probe indices and its
-        (probe, centre) pairs within reach as CSR structure, the centres of
-        each row in increasing index.
+        Yields (run, indptr, pos, diff, dist_sq): the run's probe indices,
+        its (probe, centre) pairs within reach as CSR structure over sorted
+        positions (``order[pos]`` are the centres), each row increasing and
+        set by its probe alone, and each pair's ``displacements``.
         """
         if not len(points):
             return
@@ -110,15 +112,24 @@ class CellList:
         # position of each candidate among the sorted centres
         at = np.arange(flat.sum()) + np.repeat(
             starts.ravel() - np.cumsum(flat) + flat, flat)
-        dist_sq = np.zeros(len(at))
-        for k, column in enumerate(self.columns):
-            d = np.take(column, at)
-            d -= np.repeat(points[:, k], counts)
-            d *= d
-            dist_sq += d
-        near = dist_sq <= self.reach**2
-        rows = np.repeat(np.arange(len(points)), counts)[near]
-        key = rows * len(self.order) + np.take(self.order, at[near])
-        key.sort()
-        indptr = np.searchsorted(rows, np.arange(len(points) + 1))
-        return indptr, key - rows * len(self.order)
+        diff, dist_sq = displacements(self.columns, at, points, counts)
+        near = np.flatnonzero(dist_sq <= self.reach**2)
+        indptr = np.searchsorted(near, np.r_[0, np.cumsum(counts)])
+        pos = np.take(at, near)
+        del at  # freed early, the peak stays that of the displacements
+        dist_sq = np.take(dist_sq, near)
+        return indptr, pos, np.take(diff, near, axis=1), dist_sq
+
+
+def displacements(columns, at, points, counts):
+    """The (n, len(at)) displacements ``columns[:, at] - point``, each
+    point repeated ``counts`` times, and their squares summed axis by axis:
+    the one rounding of a squared distance in the search and the engine."""
+    diff = np.empty((len(columns), len(at)))
+    dist_sq = np.zeros(len(at))
+    for k, column in enumerate(columns):
+        # ``at`` is in range, and "clip" skips the buffered copy of "raise"
+        np.take(column, at, out=diff[k], mode="clip")
+        diff[k] -= np.repeat(points[:, k], counts)
+        dist_sq += diff[k] * diff[k]
+    return diff, dist_sq

@@ -27,9 +27,9 @@ every group with an atom within eps. Each probe then takes one of two
 paths, chosen from the probe alone:
 
 * Per pair. The (probe, group) pairs expand to (probe, atom) pairs, and
-  only those with |x_j - y| <= eps reach the kernels. Each pair keeps its
-  group index, and the pairs of each probe are summed in increasing atom
-  index.
+  only those with |x_j - y| <= eps reach the kernels. An atomic varifold's
+  pairs keep the displacements the search computed. Each probe sums its
+  pairs in the cell list's sorted order of their groups.
 * Offset table. A probe that is one of the varifold's own quadrature nodes
   (subdivisions s_p) sits at a fixed subnode p of its cell, so its
   displacement to every atom of a cell k cells away is one of s_a^n fixed
@@ -37,7 +37,7 @@ paths, chosen from the probe alone:
   holds an atom within eps, the kernel sums over the cell's subcell atoms
   (the lattice form of the point-cloud kernel sums of Buet and Rumpf);
   each (probe, cell) pair gathers its entry and the sums run over cells in
-  increasing index. Its results agree with the per-pair path to rounding,
+  cell-list order. Its results agree with the per-pair path to rounding,
   not bitwise. Every node probe takes the table, whatever s_a and s_p,
   unless the table exceeds ``_TABLE_BUDGET``; then they take the per-pair
   path. The table is kept on the query, once per key of everything it is
@@ -50,9 +50,10 @@ paths, chosen from the probe alone:
 
 The two paths share no contraction. The per-pair path multiplies its
 (probe, group) kernel values, as CSR matrices, into the group masses and
-projector columns; ``scipy.sparse`` is imported on its first use. The
-offset-table path weighs each gathered entry with its cell's mass and
-mass-weighted projector and sums each probe's contiguous row of pairs with
+projector columns, kept in the cell list's order beside it;
+``scipy.sparse`` is imported on its first use. The offset-table path
+weighs each gathered entry with its cell's mass and mass-weighted
+projector and sums each probe's contiguous row of pairs with
 ``np.add.reduceat``, so a flow residual loads no scipy. Either way each
 probe's summation order is fixed by the probe, so results do not depend on
 the order of the probes, on the other probes of the batch or on how they
@@ -65,7 +66,7 @@ import math
 
 import numpy as np
 
-from .cells import CellList
+from .cells import CellList, displacements
 from .varifold import VolumetricVarifold
 
 __all__ = [
@@ -77,8 +78,9 @@ __all__ = [
     "curvature_field",
 ]
 
-# Most probe-atom pairs held at once; bounds the per-chunk pair arrays.
-_PAIR_BUDGET = 32_768
+# Most candidate pairs of a run, which bounds its pair arrays: the search
+# holds n + 3 arrays per candidate (with its displacements).
+_PAIR_BUDGET = 24_576
 # Relative widening of the group search radius: block indices and centre
 # distances are rounded, which must not drop an atom at exactly eps. Covers
 # coordinates up to about 10^6 times the radius.
@@ -226,83 +228,69 @@ def _offset_table(varifold, query, s_a, big_k):
     return sums
 
 
-def _columns(projectors):
-    """Column k of every (n, n) matrix as entry k of an (n, N, n) array."""
-    return np.ascontiguousarray(np.moveaxis(projectors, 2, 0))
+def _cell_list(varifold, s, reach):
+    """The cell list of the groups, cached per reach, with the group masses
+    and projector columns in its sorted order: (cells, masses, columns),
+    column k of the group at sorted position i being entry (k, i)."""
+    key = ("cell_list", reach)
+    if key not in varifold._caches:
+        centres = varifold.positions if s is None else varifold.cell_centers()
+        cells = CellList(centres, reach)
+        n, order = varifold.n, cells.order
+        columns = np.empty((n, len(order), n))
+        for k in range(n):
+            # order is in range, and "clip" skips the buffer of "raise"
+            np.take(varifold.projectors[:, :, k], order, axis=0,
+                    out=columns[k], mode="clip")
+        masses = np.take(varifold.masses, order)
+        varifold._caches[key] = (cells, masses, columns)
+    return varifold._caches[key]
 
 
-def _atoms(varifold, s):
-    """The atoms summed over by the per-pair path, by group.
+def _chunk_sums(varifold, query, atoms, points, indptr, pos, diff,
+                dist_sq):
+    """First variation and mass at a run of probes, pair by pair.
 
-    Returns (atom positions, mass of each atom of a group, projector
-    columns of the groups). A volumetric varifold expands only its
-    positions: the s^n subcell nodes of each cell, cell-major, so atoms
-    ``g * s^n`` to ``(g + 1) * s^n - 1`` belong to cell g, and each carries
-    1 / s^n of its cell's mass and the cell's plane. An atomic varifold's
-    atoms are its groups.
-    """
-    if s is None:
-        pts, masses = varifold.positions, varifold.masses
-    else:
-        pts = varifold.quadrature_points(s)[0]
-        masses = varifold.masses / s**varifold.n
-    return pts, masses, _columns(varifold.projectors)
-
-
-def _contract(xi, first_variation, indptr, groups, masses, columns, eps):
-    """First variation and mass of a run of probes from its pairs' kernels.
-
-    The pairs are CSR structure over (probe, group), a group repeated once
-    per atom of it in reach. With ``xi`` at each pair the CSR matrix gives
-    the mass ``(c @ masses) eps^-n``; with ``first_variation(k)``, the
-    pairs' weights for axis k, it adds ``c @ columns[k]``. Each product
-    adds a row's entries in stored order from 0.0, repeated groups
-    included, so every probe sums in the order of its pairs.
+    ``atoms`` is (cell-list order, per-axis subcell nodes or None, mass of
+    each atom of a group, projector columns by sorted position). A
+    volumetric (probe, cell) pair expands to the s^n subcell nodes
+    ``g * s^n`` to ``(g + 1) * s^n - 1`` of cell g = ``order[pos]``; an
+    atomic pair keeps the search's displacement and squared distance.
+    Pairs with |x_j - y| <= eps form a CSR matrix c over (probe, group) of
+    their kernels: the mass is ``(c @ masses) eps^-n``, and axis k's
+    weights add ``c @ columns[k]``. Each product adds a row's entries in
+    stored order from 0.0, so every probe sums in the order of its row,
+    whatever run it is in.
     """
     from scipy.sparse import csr_matrix
 
-    n = len(columns)
-    c = csr_matrix((xi, groups, indptr), shape=(len(indptr) - 1, len(masses)))
-    den = (c @ masses) * eps ** (-n)
-    num = np.zeros((len(indptr) - 1, n))
-    for k in range(n):
-        c.data = first_variation(k)
-        num += c @ columns[k]
-    return num, den
-
-
-def _chunk_sums(varifold, query, atoms, points, indptr, groups):
-    """First variation and mass at a run of probes, pair by pair.
-
-    Each (probe, group) pair of the run's CSR structure expands to one
-    pair per atom of the group, in atom order; only those with
-    |x_j - y| <= eps reach the kernels. Groups are sorted within a row, so
-    every probe sums its atoms in increasing index whatever run it is in.
-    """
-    pts, masses, columns = atoms
-    size = len(pts) // len(masses)
+    order, nodes, masses, columns = atoms
     n, eps, pair = varifold.n, query.epsilon, query.pair
-    indptr = indptr * size
-    atom = groups
-    if size > 1:
-        # groups are runs of consecutive atoms
-        atom = (groups[:, None] * size + np.arange(size)).ravel()
-        groups = np.repeat(groups, size)
-    diff = np.take(pts, atom, axis=0)
-    diff -= np.repeat(points, np.diff(indptr), axis=0)
-    r = np.sqrt(np.einsum("pi,pi->p", diff, diff))
+    groups = pos
+    if nodes is not None:
+        size = nodes.shape[1] // len(masses)
+        atom = (np.take(order, pos)[:, None] * size + np.arange(size)).ravel()
+        groups = np.repeat(pos, size)
+        indptr = indptr * size
+        diff, dist_sq = displacements(nodes, atom, points, np.diff(indptr))
+    r = np.sqrt(dist_sq)
     if len(r) and r.max() > eps:
-        near = r <= eps
-        indptr = np.concatenate(([0], np.cumsum(near)))[indptr]
-        near = np.flatnonzero(near)
+        near = np.flatnonzero(r <= eps)
+        indptr = np.searchsorted(near, indptr)
         groups, r = np.take(groups, near), np.take(r, near)
-        diff = np.take(diff, near, axis=0)
+        diff = np.take(diff, near, axis=1)
     u = r / eps
     # grad rho_eps(w) = eps^-(n+1) rho'(|w|/eps) w/|w|, zero at w=0
     w = np.take(masses, groups) * pair.rho.derivative(u) / np.maximum(r, 1e-300)
     w *= eps ** (-(n + 1))
-    return _contract(pair.xi(u), lambda k: w * diff[:, k], indptr, groups,
-                     masses, columns, eps)
+    c = csr_matrix((pair.xi(u), groups, indptr),
+                   shape=(len(indptr) - 1, len(masses)))
+    den = (c @ masses) * eps ** (-n)
+    num = np.zeros((len(indptr) - 1, n))
+    for k in range(n):
+        c.data = w * diff[k]
+        num += c @ columns[k]
+    return num, den
 
 
 def _node_chunk_sums(varifold, query, table, probe_base, indptr, cells):
@@ -383,29 +371,30 @@ def _pair_sums(varifold, query, points):
                          f"{points[bad[0]]}")
     s, size, spread = _groups(varifold, query)
     reach = (query.epsilon + spread) * (1.0 + _REACH_SLACK)
-    key = ("cell_list", reach)
-    if key not in varifold._caches:
-        centres = varifold.positions if s is None else varifold.cell_centers()
-        varifold._caches[key] = CellList(centres, reach)
-    cells = varifold._caches[key]
+    cells, masses, columns = _cell_list(varifold, s, reach)
     num = np.zeros((len(points), n))
     den = np.zeros(len(points))
     nodes, table, probe_base = _node_path(varifold, query, s, reach, points)
-    atoms = None if nodes.all() else _atoms(varifold, s)
+    expanded = None
+    if s is not None and not nodes.all():
+        expanded = varifold.quadrature_points(s)[0].T
+        masses = masses / size
+    atoms = (cells.order, expanded, masses, columns)
     # (probes, atoms per candidate group, sums over a run's pairs): the
     # candidate counts times the atoms per group bound each probe's pairs
     paths = (
         (~nodes, size, lambda run, *pairs: _chunk_sums(
             varifold, query, atoms, points[run], *pairs)),
-        (nodes, 1, lambda run, *pairs: _node_chunk_sums(
-            varifold, query, table, probe_base[run], *pairs)),
+        (nodes, 1, lambda run, indptr, pos, *_: _node_chunk_sums(
+            varifold, query, table, probe_base[run], indptr,
+            np.take(cells.order, pos))),
     )
     for select, per_group, sums in paths:
         at = np.flatnonzero(select)
-        for run, indptr, groups in cells.runs(points[at], _PAIR_BUDGET,
-                                              per_group):
+        for run, *pairs in cells.runs(points[at], _PAIR_BUDGET, per_group):
             run = at[run]
-            num[run], den[run] = sums(run, indptr, groups)
+            num[run], den[run] = sums(run, *pairs)
+            del pairs  # before the search builds the next run's
     return num, den
 
 

@@ -109,14 +109,14 @@ def atomize(obj, subdivisions=None):
     """Spatial mass measure of a varifold (or sample) as an atomic measure.
 
     ``obj`` is an ``AtomicMeasure`` (returned as is) or any set with
-    ``atoms()``. Volumetric varifolds are expanded to their midpoint subcell
-    nodes, each node carrying an equal share of its cell's mass; the node
-    cloud lies within ``mesh.h`` of any point of the represented measure.
+    ``mass_atoms()``. Volumetric varifolds are expanded to their midpoint
+    subcell nodes, each node carrying an equal share of its cell's mass; the
+    node cloud lies within ``mesh.h`` of any point of the represented
+    measure.
     """
     if isinstance(obj, AtomicMeasure):
         return obj
-    pts, _, masses = obj.atoms(subdivisions)
-    return AtomicMeasure(pts, masses)
+    return AtomicMeasure(*obj.mass_atoms(subdivisions))
 
 
 def _merged_signed_difference(mu, nu):

@@ -61,23 +61,30 @@ class _WeightedAtoms:
 
     ``atoms(subdivisions=None)`` returns read-only (positions, projectors,
     masses) of shapes (N, n), (N, n, n) and (N,); every integral is a
-    mass-weighted sum over these atoms.
+    mass-weighted sum over these atoms. ``mass_atoms`` gives the positions
+    and masses alone, for integrals that do not read the planes.
 
-    The varifolds keep derived arrays (quadrature nodes, atoms and the
-    curvature engine's cell lists) in ``_caches``, filled by check-then-set
-    without a lock: threads that miss together each compute the same
-    deterministic value and one is kept, so a race can only repeat work.
+    The varifolds keep derived arrays (quadrature nodes, atoms, and the
+    curvature engine's cell lists with masses and projector columns in
+    their order) in ``_caches``, filled by check-then-set without a lock:
+    threads that miss together each compute the same deterministic value
+    and one is kept, so a race can only repeat work.
     """
 
     __slots__ = ()
 
+    def mass_atoms(self, subdivisions=None):
+        """The (positions, masses) of ``atoms(subdivisions)``."""
+        pts, _, masses = self.atoms(subdivisions)
+        return pts, masses
+
     def mass_total(self):
         """Total mass of the spatial measure."""
-        return float(np.sum(self.atoms()[2]))
+        return float(np.sum(self.mass_atoms()[1]))
 
     def mass_apply(self, phi):
         """Integrate a scalar function of position against the mass measure."""
-        pts, _, masses = self.atoms()
+        pts, masses = self.mass_atoms()
         return float(np.sum(masses * np.asarray(phi(pts))))
 
     def varifold_apply(self, f):
@@ -117,9 +124,12 @@ class _AtomicVarifold(_WeightedAtoms):
             raise ValueError("non-finite values in varifold data")
         if np.any(masses < 0):
             raise ValueError("masses must be nonnegative")
+        # copies, so that freezing them leaves the caller's arrays writable
         keep = masses > 0
+        whole = keep.all()
         positions, projectors, masses = (
-            positions[keep], projectors[keep], masses[keep]
+            a.copy() if whole else a[keep]
+            for a in (positions, projectors, masses)
         )
         if dim is None:
             dim = _plane_dim(projectors)
@@ -288,6 +298,14 @@ class VolumetricVarifold(_WeightedAtoms):
         ok &= np.all(self._node(cell, sub, s) == points, axis=1)
         return ok, cell, sub
 
+    def mass_atoms(self, subdivisions=None):
+        """The nodes and masses of ``atoms(subdivisions)``, without its
+        per-node projectors: each node carries 1 / s^n of its cell's mass.
+        Only the nodes are cached."""
+        pts, _ = self.quadrature_points(subdivisions)
+        per_cell = len(pts) // len(self)
+        return pts, np.repeat(self.masses / per_cell, per_cell)
+
     def atoms(self, subdivisions=None):
         """The varifold as weighted atoms, one per subcell quadrature node.
 
@@ -299,10 +317,8 @@ class VolumetricVarifold(_WeightedAtoms):
         s = self.subdivisions if subdivisions is None else int(subdivisions)
         key = ("atoms", s)
         if key not in self._caches:
-            pts, _ = self.quadrature_points(s)
-            per_cell = s**self.n
-            proj = np.repeat(self.projectors, per_cell, axis=0)
-            masses = np.repeat(self.masses / per_cell, per_cell)
+            pts, masses = self.mass_atoms(s)
+            proj = np.repeat(self.projectors, s**self.n, axis=0)
             for arr in (proj, masses):
                 arr.flags.writeable = False
             self._caches[key] = (pts, proj, masses)

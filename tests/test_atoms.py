@@ -144,3 +144,19 @@ def test_transfer_bound_on_random_bumps(radius, center, resolution, edge,
     sampled = SampledManifoldVarifold(sample)
     gap = abs(sampled.mass_apply(phi) - vol.mass_apply(phi))
     assert gap <= mesh.h * phi.lip * sampled.mass_total()
+
+
+def test_mass_integrals_expand_nodes_without_projector_copies():
+    # atomize, mass_total and mass_apply read the nodes and per-node masses
+    # alone: no ("atoms", s) entry is cached, and the values are bitwise
+    # those of the full atoms
+    vol = discretize(_SAMPLE, _MESH, subdivisions=3)
+    measure = atomize(vol)
+    total, applied = vol.mass_total(), vol.mass_apply(_phi)
+    assert atomize(vol, 2).masses.shape == (4 * len(vol),)
+    assert not [key for key in vol._caches if key[0] == "atoms"]
+    pts, _, masses = vol.atoms()
+    assert measure.positions.tobytes() == pts.tobytes()
+    assert measure.masses.tobytes() == masses.tobytes()
+    assert total == float(np.sum(masses))
+    assert applied == float(np.sum(masses * _phi(pts)))

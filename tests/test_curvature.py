@@ -142,23 +142,47 @@ def _own_node_circle_case(subdivisions=1, edge=0.125):
     return vol, default_kernel_pair(2, 1), 0.2, probes
 
 
-def _sequential_sums(cloud, pair, eps, probes):
-    """Per-probe sums accumulated one pair at a time in atom index order.
+def _cell_list_walk(varifold, eps):
+    """Indices of the atoms (of ``_expanded_cloud`` if volumetric) in the
+    order of the engine's cell list: groups by their sorted position, the
+    subcell atoms of a cell in index order."""
+    if not isinstance(varifold, VolumetricVarifold):
+        reach = eps * (1 + curvature._REACH_SLACK)
+        return cells.CellList(varifold.positions, reach).order
+    s = max(2, varifold.subdivisions, math.ceil(4.0 * varifold.h / eps))
+    spread = varifold.h * (s - 1) / (2 * s)
+    reach = (eps + spread) * (1 + curvature._REACH_SLACK)
+    order = cells.CellList(varifold.cell_centers(), reach).order
+    size = s**varifold.n
+    return (order[:, None] * size + np.arange(size)).ravel()
 
-    Mirrors the engine's arithmetic (a running total from 0.0 per mass sum
-    and per first-variation component, then the n projector columns added
-    in turn), so a neighbour order other than increasing atom index shows
-    up as a difference in the last bits.
+
+def _sequential_sums(varifold, pair, eps, probes):
+    """Per-probe sums accumulated one pair at a time in cell-list order.
+
+    Walks the atoms (the expanded cloud of a volumetric varifold) in the
+    order of the engine's cell list and mirrors the engine's arithmetic:
+    squared distances summed axis by axis, a running total from 0.0 per
+    mass sum and per first-variation component, then the n projector
+    columns added in turn. Any other neighbour order or distance rounding
+    shows up as a difference in the last bits.
     """
+    cloud = varifold
+    if isinstance(varifold, VolumetricVarifold):
+        cloud = _expanded_cloud(varifold, eps)
+    walk = _cell_list_walk(varifold, eps)
     n = cloud.n
     num = np.zeros((len(probes), n))
     den = np.zeros(len(probes))
     for g, y in enumerate(probes):
-        diff = cloud.positions - y
-        r = np.sqrt(np.einsum("pi,pi->p", diff, diff))
+        diff = cloud.positions[walk] - y
+        dist_sq = np.zeros(len(walk))
+        for k in range(n):
+            dist_sq += diff[:, k] * diff[:, k]
+        r = np.sqrt(dist_sq)
         near = np.flatnonzero(r <= eps)
         u = r[near] / eps
-        mass = cloud.masses[near]
+        mass = cloud.masses[walk[near]]
         total = 0.0
         for value in mass * pair.xi(u):
             total += value
@@ -167,7 +191,7 @@ def _sequential_sums(cloud, pair, eps, probes):
         w *= eps ** (-(n + 1))
         for k in range(n):
             column = np.zeros(n)
-            for a, j in zip(w * diff[near, k], near):
+            for a, j in zip(w * diff[near, k], walk[near]):
                 column += a * cloud.projectors[j, :, k]
             num[g] += column
     return num, den
@@ -199,12 +223,10 @@ def _volumetric_sphere_case(s, edge):
       for s, edge in ((2, 0.0625), (3, 0.125), (4, 0.15625))),
 ])
 def test_sums_follow_atom_index_order_exactly(make_case):
+    # the oracle walks the atoms in cell-list order, as the engine does
     varifold, pair, eps, probes = make_case()
-    cloud = varifold
-    if isinstance(varifold, VolumetricVarifold):
-        cloud = _expanded_cloud(varifold, eps)
     query = CurvatureQuery(pair, eps)
-    num_ref, den_ref = _sequential_sums(cloud, pair, eps, probes)
+    num_ref, den_ref = _sequential_sums(varifold, pair, eps, probes)
     num, den = regularized_sums(varifold, query, probes)
     nodes = np.zeros(len(probes), dtype=bool)
     if isinstance(varifold, VolumetricVarifold):
@@ -358,9 +380,12 @@ def test_runs_stay_within_pair_budget(monkeypatch, make_case):
     inner = cells.CellList.runs
 
     def spy(self, points, budget, size=1):
-        for run, indptr, groups in inner(self, points, budget, size):
-            runs.append((run, np.repeat(run, np.diff(indptr)), groups))
-            yield run, indptr, groups
+        for run, indptr, pos, *rest in inner(self, points, budget, size):
+            rows = np.repeat(run, np.diff(indptr))
+            # each row in increasing position among the sorted centres
+            assert np.all(np.diff(pos)[np.diff(rows) == 0] > 0)
+            runs.append((run, rows, self.order[pos]))
+            yield run, indptr, pos, *rest
 
     monkeypatch.setattr(cells.CellList, "runs", spy)
     if isinstance(varifold, VolumetricVarifold):
@@ -501,9 +526,7 @@ def test_node_probes_match_per_pair_path(monkeypatch, make_case):
     seen.clear()
     num_pair, den_pair = regularized_sums(vol, query, probes)
     assert not seen
-    num_seq, den_seq = _sequential_sums(
-        _expanded_cloud(vol, eps), pair, eps, probes
-    )
+    num_seq, den_seq = _sequential_sums(vol, pair, eps, probes)
     for ref_num, ref_den in ((num_pair, den_pair), (num_seq, den_seq)):
         _assert_relatively_close(num, ref_num)
         _assert_relatively_close(den, ref_den)
@@ -523,9 +546,7 @@ def test_probe_one_ulp_off_its_node_takes_per_pair_path(monkeypatch):
     query = CurvatureQuery(pair, eps)
     num, den = regularized_sums(vol, query, moved)
     assert not seen
-    num_seq, den_seq = _sequential_sums(
-        _expanded_cloud(vol, eps), pair, eps, moved
-    )
+    num_seq, den_seq = _sequential_sums(vol, pair, eps, moved)
     assert np.array_equal(num, num_seq)
     assert np.array_equal(den, den_seq)
     regularized_sums(vol, query, node)
@@ -596,9 +617,7 @@ def test_oversized_offset_table_falls_back_to_per_pair_path(monkeypatch):
     monkeypatch.setattr(curvature, "_TABLE_BUDGET", box - 1)
     num, den = regularized_sums(vol, query, probes)
     assert not seen
-    num_seq, den_seq = _sequential_sums(
-        _expanded_cloud(vol, eps), pair, eps, probes
-    )
+    num_seq, den_seq = _sequential_sums(vol, pair, eps, probes)
     assert np.array_equal(num, num_seq)
     assert np.array_equal(den, den_seq)
     _assert_relatively_close(table_num, num_seq)
