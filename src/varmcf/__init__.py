@@ -32,13 +32,13 @@ from .curvature import (  # noqa: F401
 )
 from .discretization import Mesh, discretize, tangent_fit_quality  # noqa: F401
 from .flow import (  # noqa: F401
+    AngenentOvalFlow,
     FlowTrajectory,
-    SelfIntersectionError,
     ShrinkingCircle,
     ShrinkingSphere,
-    run_curve_shortening,
 )
 from .geometry import (  # noqa: F401
+    AngenentOval,
     Circle,
     Ellipse,
     Sphere,

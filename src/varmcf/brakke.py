@@ -343,21 +343,21 @@ def measure_tangent_lipschitz(shape, resolution, max_separation=0.1):
     """Largest projector distance to point distance ratio at short range.
 
     Candidate pairs come from a cell list of the sample searched against
-    itself at a radius a hair above ``max_separation``; the distances are
-    then recomputed and held to ``0 < dist <= max_separation`` exactly, so
-    the search's own rounding does not decide which pairs count. Pairs are
-    found in runs of at most ``_PAIR_BLOCK`` candidates to bound memory.
+    itself at a radius a hair above ``max_separation``; the square roots of
+    the squared distances the search yields are then held to
+    ``0 < dist <= max_separation`` exactly, so the widened search radius
+    does not decide which pairs count. Pairs are found in runs of at most
+    ``_PAIR_BLOCK`` candidates to bound memory.
     """
     sample = shape.sample(resolution)
     pts = sample.positions
     proj = sample.projectors
     cells = CellList(pts, max_separation * (1.0 + 1e-9))
     best = 0.0
-    for run, indptr, pos, *_ in cells.runs(pts, _PAIR_BLOCK):
+    for run, indptr, pos, _, dist_sq in cells.runs(pts, _PAIR_BLOCK):
         i, j = np.repeat(run, np.diff(indptr)), np.take(cells.order, pos)
-        i, j = i[i < j], j[i < j]
-        diff = np.take(pts, i, axis=0) - np.take(pts, j, axis=0)
-        dist = np.sqrt(np.einsum("pi,pi->p", diff, diff))
+        keep = i < j
+        i, j, dist = i[keep], j[keep], np.sqrt(dist_sq[keep])
         pdiff = np.take(proj, i, axis=0) - np.take(proj, j, axis=0)
         pdist = np.sqrt(np.einsum("pij,pij->p", pdiff, pdiff))
         mask = (dist > 0) & (dist <= max_separation)

@@ -367,6 +367,8 @@ def _ahlfors_scan(cfg):
     if any(r <= 0 for r in radii):
         raise ConfigError("radii must be positive")
     max_probes = cfg.get(section, "max_probes", int, 64)
+    if max_probes < 1:
+        raise ConfigError("max_probes must be at least 1")
 
     def compute():
         v = SampledManifoldVarifold.from_shape(shape, resolution)

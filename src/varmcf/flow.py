@@ -1,44 +1,38 @@
-"""Mean curvature flow trajectories: exact shrinkers and a polyline flow.
+"""Mean curvature flow trajectories with exact geometry.
 
 A round circle or sphere of initial radius r0 flowing by mean curvature
 stays round with radius r(t) = sqrt(r0^2 - 2 d t), vanishing at
-t = r0^2 / (2 d). These exact trajectories drive the space-time residual
-checks. The polyline flow is an explicit Euler scheme for curve shortening
-in the plane; it is compared only with the circle's radius law, in one test
-and one demo.
+t = r0^2 / (2 d). The Angenent oval {cos x = e^t cosh y}, t < 0, is the
+one other compact convex ancient solution of curve shortening
+(Daskalopoulos, Hamilton and Sesum, J. Differential Geom. 2010); it is not
+round, and it shrinks to a point at t = 0. These exact trajectories drive
+the space-time residual checks.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
 
-from .geometry import Circle, Sphere, WeightedSample
+from .geometry import AngenentOval, Circle, Sphere
 
 __all__ = [
     "ShrinkingCircle",
     "ShrinkingSphere",
+    "AngenentOvalFlow",
     "FlowTrajectory",
-    "SelfIntersectionError",
-    "polyline_curvature",
-    "polyline_length",
-    "polyline_to_sample",
-    "resample_polyline",
-    "self_intersects",
-    "max_stable_step",
-    "curve_shortening_step",
-    "run_curve_shortening",
-    "write_polyline_csv",
 ]
 
 
-# Segment pairs held at once by self_intersects.
-_SEGMENT_BLOCK = 65_536
+class _Flow:
+    """An exact flow: ``shape_at(t)`` for t in its lifetime."""
+
+    def trajectory(self, t_start, t_end, panels, resolution):
+        return FlowTrajectory(self, t_start, t_end, panels, resolution)
 
 
-class _Shrinker:
+class _Shrinker(_Flow):
     """Round shape flowing by mean curvature: r(t)^2 = r0^2 - 2 d t."""
 
     d = None
@@ -69,9 +63,6 @@ class _Shrinker:
     def shape_at(self, t):
         return self._make(self.radius_at(t))
 
-    def trajectory(self, t_start, t_end, panels, resolution):
-        return FlowTrajectory(self, t_start, t_end, panels, resolution)
-
 
 class ShrinkingCircle(_Shrinker):
     d = 1
@@ -89,6 +80,30 @@ class ShrinkingSphere(_Shrinker):
         if self.center is None:
             return Sphere(r)
         return Sphere(r, self.center)
+
+
+class AngenentOvalFlow(_Flow):
+    """The Angenent oval from time t0 < 0: ``shape_at(s)`` is the oval at
+    t0 + s, so the flow starts at s = 0 and is extinct at s = -t0."""
+
+    def __init__(self, t0):
+        t0 = float(t0)
+        if not t0 < 0:
+            raise ValueError("t0 must be negative")
+        self.t0 = t0
+
+    @property
+    def extinction_time(self):
+        return -self.t0
+
+    def shape_at(self, s):
+        s = float(s)
+        if s >= self.extinction_time:
+            raise ValueError(
+                f"flow is extinct at s = {self.extinction_time:g}; "
+                f"requested s = {s:g}"
+            )
+        return AngenentOval(self.t0 + s)
 
 
 class FlowTrajectory:
@@ -150,163 +165,3 @@ class FlowTrajectory:
             lo = np.minimum(lo, slo)
             hi = np.maximum(hi, shi)
         return lo, hi
-
-
-class SelfIntersectionError(RuntimeError):
-    """The evolving polyline crossed itself."""
-
-
-def _segments(vertices):
-    return vertices, np.roll(vertices, -1, axis=0)
-
-
-def polyline_length(vertices):
-    p, q = _segments(np.asarray(vertices, dtype=float))
-    return float(np.sum(np.linalg.norm(q - p, axis=1)))
-
-
-def polyline_curvature(vertices):
-    """Discrete curvature vectors of a closed polyline.
-
-    K_i = 2 (u_fwd - u_back) / (a + b) with unit edge directions and edge
-    lengths a, b; on a regular polygon this is exactly the inward normal
-    over the circumradius.
-    """
-    v = np.asarray(vertices, dtype=float)
-    fwd = np.roll(v, -1, axis=0) - v
-    back = v - np.roll(v, 1, axis=0)
-    a = np.linalg.norm(fwd, axis=1)
-    b = np.linalg.norm(back, axis=1)
-    if np.any(a == 0):
-        raise ValueError("polyline has a repeated vertex")
-    u_fwd = fwd / a[:, None]
-    u_back = back / b[:, None]
-    return 2.0 * (u_fwd - u_back) / (a + b)[:, None]
-
-
-def polyline_to_sample(vertices):
-    """Weighted sample of a closed polyline: vertex atoms, edge-split weights."""
-    v = np.asarray(vertices, dtype=float)
-    fwd = np.roll(v, -1, axis=0) - v
-    back = v - np.roll(v, 1, axis=0)
-    a = np.linalg.norm(fwd, axis=1)
-    b = np.linalg.norm(back, axis=1)
-    chord = np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)
-    t = chord / np.linalg.norm(chord, axis=1)[:, None]
-    proj = t[:, :, None] * t[:, None, :]
-    return WeightedSample(v, proj, 0.5 * (a + b), 1)
-
-
-def resample_polyline(vertices, count=None):
-    """Redistribute vertices uniformly by arc length along the polyline."""
-    v = np.asarray(vertices, dtype=float)
-    count = len(v) if count is None else int(count)
-    closed = np.vstack([v, v[:1]])
-    seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-    targets = np.arange(count) * (total / count)
-    idx = np.searchsorted(cum, targets, side="right") - 1
-    idx = np.clip(idx, 0, len(seg) - 1)
-    frac = (targets - cum[idx]) / seg[idx]
-    return closed[idx] + frac[:, None] * (closed[idx + 1] - closed[idx])
-
-
-def _orientations(a, b, c):
-    """Cross products (b - a) x (c - a): segments (a, b) by points c."""
-    return (
-        (b[:, None, 0] - a[:, None, 0]) * (c[None, :, 1] - a[:, None, 1])
-        - (b[:, None, 1] - a[:, None, 1]) * (c[None, :, 0] - a[:, None, 0])
-    )
-
-
-def self_intersects(vertices):
-    """Proper-crossing test between all non-adjacent segment pairs.
-
-    Segments i and j cross properly when the ends of each lie strictly on
-    opposite sides of the other. The pairs are scanned in blocks of whole
-    rows of about ``_SEGMENT_BLOCK`` pairs, so memory stays bounded for any
-    vertex count.
-    """
-    v = np.asarray(vertices, dtype=float)
-    p, q = _segments(v)
-    m = len(v)
-    j = np.arange(m)
-    step = max(1, _SEGMENT_BLOCK // m)
-    for a in range(0, m, step):
-        b = min(a + step, m)
-        pb, qb = p[a:b], q[a:b]
-        # [i, j]: ends of segment j against segment i, then the reverse
-        ends_j = _orientations(pb, qb, p) * _orientations(pb, qb, q)
-        ends_i = (_orientations(p, q, pb) * _orientations(p, q, qb)).T
-        i = np.arange(a, b)
-        adjacent = (np.abs(i[:, None] - j[None, :]) % (m - 1)) <= 1
-        if np.any((ends_j < 0) & (ends_i < 0) & ~adjacent):
-            return True
-    return False
-
-
-def max_stable_step(vertices):
-    seg = np.roll(vertices, -1, axis=0) - vertices
-    min_len = float(np.min(np.linalg.norm(seg, axis=1)))
-    return 0.25 * min_len**2
-
-
-def curve_shortening_step(vertices, dt):
-    """One explicit Euler step of curve shortening flow.
-
-    ``dt`` must respect the parabolic stability bound 0.25 * (shortest
-    segment length)^2.
-    """
-    v = np.asarray(vertices, dtype=float)
-    limit = max_stable_step(v)
-    if dt > limit:
-        raise ValueError(
-            f"dt = {dt:g} exceeds the stability bound {limit:g}"
-        )
-    return v + dt * polyline_curvature(v)
-
-
-def run_curve_shortening(vertices, duration, dt=None, resample_every=10,
-                         check_every=16, record_every=1):
-    """Flow a closed polyline for ``duration``; returns (times, polylines).
-
-    Vertices are redistributed by arc length every ``resample_every`` steps
-    and the curve is checked for self-crossings every ``check_every`` steps
-    (a crossing raises :class:`SelfIntersectionError`). The step size is
-    recomputed after each resampling unless fixed via ``dt``.
-    """
-    v = np.asarray(vertices, dtype=float)
-    duration = float(duration)
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    t = 0.0
-    step = 0
-    times = [0.0]
-    history = [v.copy()]
-    while t < duration - 1e-15:
-        current_dt = max_stable_step(v) if dt is None else float(dt)
-        current_dt = min(current_dt, duration - t)
-        v = curve_shortening_step(v, current_dt)
-        t += current_dt
-        step += 1
-        if step % resample_every == 0:
-            v = resample_polyline(v)
-        if step % check_every == 0 and self_intersects(v):
-            raise SelfIntersectionError(
-                f"polyline self-intersects at t = {t:g}"
-            )
-        if step % record_every == 0 or t >= duration - 1e-15:
-            times.append(t)
-            history.append(v.copy())
-    return np.asarray(times), history
-
-
-def write_polyline_csv(times, history, path):
-    """Long-format vertex table: time, vertex index, coordinates."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "vertex", "x", "y"])
-        for t, poly in zip(times, history):
-            for k, (x, y) in enumerate(poly):
-                writer.writerow([f"{t:.17g}", str(k), f"{x:.17g}", f"{y:.17g}"])

@@ -18,6 +18,7 @@ __all__ = [
     "AnalyticShape",
     "Circle",
     "Ellipse",
+    "AngenentOval",
     "Sphere",
     "Torus",
     "make_shape",
@@ -297,6 +298,63 @@ class Ellipse(AnalyticShape):
     def bounding_box(self, margin=0.0):
         half = np.array([self.a, self.b]) + margin
         return self.center - half, self.center + half
+
+
+class AngenentOval(AnalyticShape):
+    """The Angenent oval {cos x = e^t cosh y} at time t < 0.
+
+    With a = e^t and m = 1 - a^2, the point of outward normal
+    (cos theta, sin theta) is x = arcsin(sqrt(m) cos theta),
+    y = arcsinh(sqrt(m) sin theta / a), where the curvature is
+    kappa = sqrt(1 - m cos^2 theta) / sqrt(m) = d theta / ds. Sampling is
+    the trapezoid rule in theta with weights ds = d theta / kappa.
+    """
+
+    d = 1
+    n = 2
+
+    def __init__(self, t):
+        t = float(t)
+        if not t < 0:
+            raise ValueError("the Angenent oval needs t < 0")
+        self.t = t
+        self.a = np.exp(t)
+        self.m = -np.expm1(2.0 * t)
+
+    def _kappa(self, cos):
+        return np.sqrt(1.0 - self.m * cos * cos) / np.sqrt(self.m)
+
+    def mean_curvature(self, y):
+        pts, single = _as_points(y, 2)
+        px, py = pts[:, 0], pts[:, 1]
+        self._reject_off_shape(np.abs(np.cos(px) - self.a * np.cosh(py)))
+        theta = np.arctan2(self.a * np.sinh(py), np.sin(px))
+        cos, sin = np.cos(theta), np.sin(theta)
+        h = -self._kappa(cos)[:, None] * np.stack([cos, sin], axis=1)
+        return h[0] if single else h
+
+    def total_measure(self):
+        # imported here so that importing the package skips scipy.special
+        from scipy.special import ellipk
+
+        return float(4.0 * np.sqrt(self.m) * ellipk(self.m))
+
+    def sample(self, resolution):
+        resolution = _check_resolution(resolution)
+        theta = 2.0 * np.pi * np.arange(resolution) / resolution
+        cos, sin = np.cos(theta), np.sin(theta)
+        pts = np.empty((resolution, 2))
+        pts[:, 0] = np.arcsin(np.sqrt(self.m) * cos)
+        pts[:, 1] = np.arcsinh(np.sqrt(self.m) * sin / self.a)
+        t = np.stack([-sin, cos], axis=1)  # the unit tangent
+        proj = t[:, :, None] * t[:, None, :]
+        w = (2.0 * np.pi / resolution) / self._kappa(cos)
+        return WeightedSample(pts, proj, w, self.d)
+
+    def bounding_box(self, margin=0.0):
+        root = np.sqrt(self.m)
+        half = np.array([np.arcsin(root), np.arcsinh(root / self.a)]) + margin
+        return -half, half
 
 
 class Sphere(AnalyticShape):

@@ -231,13 +231,13 @@ def natural_pair_from_rho(rho, n, d):
     return KernelPair(rho, rho.natural_companion(n), n, d)
 
 
-def default_kernel_pair(n, d, exponent=4, normalized=True):
-    """Natural pair built on (1 - r^2)^exponent, normalized by default."""
+def default_kernel_pair(n, d, exponent=4):
+    """Normalized natural pair built on (1 - r^2)^exponent."""
     pair = natural_pair_from_rho(PolynomialProfile(exponent), n, d)
-    return pair.normalized() if normalized else pair
+    return pair.normalized()
 
 
-def mismatched_pair(n, d, exponent=4, normalized=True):
+def mismatched_pair(n, d, exponent=4):
     """Non-natural pair: the same rho, xi = (1 - r^2)^(exponent - 1).
 
     xi is positive inside the support but does not satisfy the natural
@@ -245,18 +245,17 @@ def mismatched_pair(n, d, exponent=4, normalized=True):
     the log-log slopes of the curvature error in eps (natural/mismatched)
     are 2.00/2.00 on the circle, 1.74/1.76 on the ellipse and 2.00/1.97 on
     the sphere. It is a second pair to compare against, not a control
-    that fails.
+    that fails. The pair is normalized.
     """
     rho = PolynomialProfile(exponent)
     xi = PolynomialProfile._factored(1.0, 0, rho.b - 1)
-    pair = KernelPair(rho, xi, n, d)
-    return pair.normalized() if normalized else pair
+    return KernelPair(rho, xi, n, d).normalized()
 
 
-def make_kernel_pair(name, n, d, exponent=4, normalized=True):
-    """Kernel pair by name: "natural" or "mismatched"."""
+def make_kernel_pair(name, n, d, exponent=4):
+    """Normalized kernel pair by name: "natural" or "mismatched"."""
     if name == "natural":
-        return default_kernel_pair(n, d, exponent, normalized)
+        return default_kernel_pair(n, d, exponent)
     if name == "mismatched":
-        return mismatched_pair(n, d, exponent, normalized)
+        return mismatched_pair(n, d, exponent)
     raise ValueError(f"unknown kernel pair {name!r}")

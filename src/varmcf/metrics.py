@@ -315,6 +315,8 @@ def ahlfors_scan(obj, d, radii, max_probes=64, probes=None):
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
     if probes is None:
+        if max_probes < 1:
+            raise ValueError(f"max_probes must be >= 1, not {max_probes}")
         idx = _probe_indices(len(measure), max_probes)
         probes = measure.positions[idx]
     else:

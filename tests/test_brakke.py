@@ -451,7 +451,11 @@ def test_measure_curvature_consistency_circle():
 
 
 def _dense_tangent_lipschitz(shape, resolution, max_separation):
-    """All-pairs scan in blocks of 256 rows: the oracle for the k-d tree."""
+    """All-pairs scan in blocks of 256 rows: the oracle for the cell list.
+
+    Squared distances are summed axis by axis, the one rounding the cell
+    list's displacements use, so the two agree bitwise.
+    """
     sample = shape.sample(resolution)
     pts = sample.positions
     proj = sample.projectors
@@ -459,7 +463,10 @@ def _dense_tangent_lipschitz(shape, resolution, max_separation):
     block = 256
     for a in range(0, len(pts), block):
         diff = pts[a:a + block, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.einsum("pmi,pmi->pm", diff, diff))
+        dist_sq = np.zeros(diff.shape[:2])
+        for k in range(diff.shape[2]):
+            dist_sq += diff[:, :, k] * diff[:, :, k]
+        dist = np.sqrt(dist_sq)
         pdiff = proj[a:a + block, None] - proj[None, :]
         pdist = np.sqrt(np.einsum("pmij,pmij->pm", pdiff, pdiff))
         mask = (dist > 0) & (dist <= max_separation)

@@ -149,8 +149,7 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_ahlfors_scan_kind(tmp_path):
-    text = """\
+AHLFORS_CONFIG = """\
 [experiment]
 kind = ahlfors-scan
 
@@ -160,8 +159,12 @@ name = circle
 [ahlfors-scan]
 resolution = 512
 radii = 0.5 1.0
-max_probes = 8
+max_probes = {max_probes}
 """
+
+
+def test_ahlfors_scan_kind(tmp_path):
+    text = AHLFORS_CONFIG.format(max_probes=8)
     cfg = ExperimentConfig.load(_write(tmp_path, text))
     out = tmp_path / "out"
     assert run(cfg, out) == 0
@@ -369,6 +372,8 @@ epsilons = 0.4
     ).format(extra=""),
     "enforce-not-boolean": BRAKKE_CONFIG.format(extra="enforce_gamma = maybe"),
     "edge-overflows": BRAKKE_CONFIG.format(extra="h_power = -2000"),
+    "zero-max-probes": AHLFORS_CONFIG.format(max_probes=0),
+    "negative-max-probes": AHLFORS_CONFIG.format(max_probes=-3),
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import ellipe
 
 from varmcf.geometry import (
+    AngenentOval,
     Circle,
     Ellipse,
     Sphere,
@@ -238,3 +239,66 @@ def test_circle_curvature_matches_length_variation():
     ))[:, :2]
     rhs = -np.sum(s.weights * np.sum(h * field2, axis=1))
     assert abs(fd - rhs) < 1e-6
+
+
+@pytest.mark.parametrize("t", [-2.0, -0.5])
+def test_angenent_oval_geometry(t):
+    oval = AngenentOval(t)
+    a = np.exp(t)
+    sample = oval.sample(256)
+    x, y = sample.positions.T
+    assert np.max(np.abs(np.cos(x) - a * np.cosh(y))) <= 1e-12
+    # the outward normal is the normalized gradient of a cosh y - cos x
+    outward = np.stack([np.sin(x), a * np.sinh(y)], axis=1)
+    outward /= np.linalg.norm(outward, axis=1)[:, None]
+    h = oval.mean_curvature(sample.positions)
+    kappa = np.linalg.norm(h, axis=1)
+    assert np.max(np.abs(-h / kappa[:, None] - outward)) <= 1e-12
+    tangent_plane = np.eye(2) - outward[:, :, None] * outward[:, None, :]
+    assert np.max(np.abs(sample.projectors - tangent_plane)) <= 1e-12
+    # the sample reaches the box at theta = 0 and pi / 2
+    lo, hi = oval.bounding_box(margin=0.1)
+    np.testing.assert_array_equal(lo, -hi)
+    np.testing.assert_allclose(
+        np.max(np.abs(sample.positions), axis=0), hi - 0.1, rtol=1e-15
+    )
+
+
+@pytest.mark.parametrize("t", [-2.0, -0.5])
+def test_angenent_oval_curvature_matches_finite_differences(t):
+    oval = AngenentOval(t)
+    a, m = np.exp(t), -np.expm1(2.0 * t)
+
+    def point(s):  # any parametrization of the curve serves
+        return np.stack([np.arcsin(np.sqrt(m) * np.cos(s)),
+                         np.arcsinh(np.sqrt(m) * np.sin(s) / a)], axis=1)
+
+    s = np.linspace(0.0, 2.0 * np.pi, 50, endpoint=False)
+    step = 1e-4
+    ahead, here, behind = point(s + step), point(s), point(s - step)
+    d1 = (ahead - behind) / (2.0 * step)
+    d2 = (ahead - 2.0 * here + behind) / step**2
+    cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    kappa = np.abs(cross) / np.linalg.norm(d1, axis=1) ** 3
+    h = oval.mean_curvature(here)
+    np.testing.assert_allclose(np.linalg.norm(h, axis=1), kappa, atol=1e-4)
+    with pytest.raises(ValueError, match="not on the shape"):
+        oval.mean_curvature(here[0] * (1.0 + 1e-6))
+
+
+@pytest.mark.parametrize("t", [-2.0, -0.5])
+def test_angenent_oval_measure_and_area(t):
+    oval = AngenentOval(t)
+    for resolution in (256, 512):
+        weight = oval.sample(resolution).total_weight()
+        assert abs(weight - oval.total_measure()) <= 1e-10
+    # shoelace area of a fine polygon; the exact area is -2 pi t
+    p = oval.sample(65536).positions
+    q = np.roll(p, -1, axis=0)
+    area = 0.5 * np.sum(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
+    assert abs(area + 2.0 * np.pi * t) <= 1e-6
+
+
+def test_angenent_oval_needs_negative_time():
+    with pytest.raises(ValueError, match="t < 0"):
+        AngenentOval(0.0)

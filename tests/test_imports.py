@@ -2,7 +2,8 @@
 concurrent.futures. scipy.sparse loads only when the per-pair curvature
 path or a bounded-Lipschitz distance is computed, and scipy.optimize only
 for the latter; the curvature of a volumetric varifold at its own
-quadrature nodes loads no scipy at all."""
+quadrature nodes loads no scipy at all, and an Angenent oval trajectory
+only scipy.special, for its perimeters."""
 
 import json
 import subprocess
@@ -60,6 +61,10 @@ binned = discretize(sample, Mesh(*circle.bounding_box(margin=0.05), 0.2))
 values = [bounded_lipschitz_distance(atomize(SampledManifoldVarifold(sample)),
                                      atomize(binned))]
 """,
+    "oval-trajectory": """
+from varmcf import AngenentOvalFlow
+values = list(AngenentOvalFlow(-2.0).trajectory(0.0, 0.5, 4, 64).masses)
+""",
 }
 
 CASE_CHILD = LAZY + """
@@ -102,4 +107,17 @@ def test_scipy_sparse_loads_only_where_used(tmp_path, case, sparse):
     # (json round-trips floats exactly)
     scope = {}
     exec(CASES[case], scope)
+    assert values == [float(v) for v in scope["values"]]
+
+
+def test_oval_trajectory_loads_only_scipy_special(tmp_path):
+    before, after, values = _child(CASE_CHILD, CASES["oval-trajectory"],
+                                   cwd=tmp_path)
+    assert before == []
+    # of scipy's public subpackages, only scipy.special is loaded
+    import scipy
+    loaded = {m.split(".")[1] for m in after if m.startswith("scipy.")}
+    assert loaded & set(scipy.__all__) == {"special"}
+    scope = {}
+    exec(CASES["oval-trajectory"], scope)
     assert values == [float(v) for v in scope["values"]]

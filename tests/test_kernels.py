@@ -44,7 +44,7 @@ def test_normalize_pair_unit_constants():
 
 def test_natural_derivative_identity():
     # xi' = -(rho' + r rho'') / n must hold exactly for natural pairs.
-    pair = default_kernel_pair(n=2, d=1, normalized=False)
+    pair = natural_pair_from_rho(PolynomialProfile(4), n=2, d=1)
     lhs = pair.xi.derivative(GRID)
     rhs = -(pair.rho.derivative(GRID) + GRID * pair.rho.second_derivative(GRID)) / 2.0
     assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -65,7 +65,9 @@ def test_scaled_kernels_vanish_outside_support():
 @pytest.mark.parametrize("n, d", [(2, 1), (3, 2)])
 @pytest.mark.parametrize("exponent", [3, 4, 5, 6])
 def test_closed_form_moments_match_quadrature(kind, n, d, exponent):
-    pair = make_kernel_pair(kind, n, d, exponent, normalized=False)
+    # normalized pairs: a wrong closed form leaves the quadrature moment
+    # of the rescaled profile away from 1
+    pair = make_kernel_pair(kind, n, d, exponent)
     for profile, closed in ((pair.rho, pair.c_rho), (pair.xi, pair.c_xi)):
         oracle = normalization_constant(profile, d)
         assert abs(closed - oracle) <= 1e-12 * oracle

@@ -431,6 +431,13 @@ def test_ahlfors_rejects_bad_input():
         ahlfors_estimate(AtomicMeasure.zero(2), d=1, radii=[0.5])
 
 
+@pytest.mark.parametrize("max_probes", [0, -3])
+def test_ahlfors_scan_rejects_no_probes(max_probes):
+    mu = AtomicMeasure(np.array([[0.0, 0.0], [1.0, 1.0]]), np.ones(2))
+    with pytest.raises(ValueError, match="max_probes"):
+        ahlfors_scan(mu, d=1, radii=[0.5], max_probes=max_probes)
+
+
 @pytest.mark.parametrize("probes", [[[1.0]], [[1.0, 0.0, 0.0]], [1.0]])
 def test_ahlfors_scan_rejects_probes_of_another_dimension(probes):
     # numpy would broadcast a 1-D probe against 2-D atoms to (1, 1)
