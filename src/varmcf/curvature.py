@@ -229,21 +229,29 @@ def _offset_table(varifold, query, s_a, big_k):
 
 
 def _cell_list(varifold, s, reach):
-    """The cell list of the groups, cached per reach, with the group masses
-    and projector columns in its sorted order: (cells, masses, columns),
-    column k of the group at sorted position i being entry (k, i)."""
+    """The cell list of the groups, cached on the varifold per reach."""
     key = ("cell_list", reach)
     if key not in varifold._caches:
         centres = varifold.positions if s is None else varifold.cell_centers()
-        cells = CellList(centres, reach)
+        varifold._caches[key] = CellList(centres, reach)
+    return varifold._caches[key]
+
+
+def _sorted_groups(varifold, cells, reach):
+    """The group masses and projector columns in the cell list's sorted
+    order, column k of the group at sorted position i being entry (k, i):
+    what the per-pair path contracts with. Cached beside the cell list and
+    built by the first query with a per-pair probe, so a query on nodes
+    only builds neither."""
+    key = ("sorted_groups", reach)
+    if key not in varifold._caches:
         n, order = varifold.n, cells.order
         columns = np.empty((n, len(order), n))
         for k in range(n):
             # order is in range, and "clip" skips the buffer of "raise"
             np.take(varifold.projectors[:, :, k], order, axis=0,
                     out=columns[k], mode="clip")
-        masses = np.take(varifold.masses, order)
-        varifold._caches[key] = (cells, masses, columns)
+        varifold._caches[key] = (np.take(varifold.masses, order), columns)
     return varifold._caches[key]
 
 
@@ -371,15 +379,18 @@ def _pair_sums(varifold, query, points):
                          f"{points[bad[0]]}")
     s, size, spread = _groups(varifold, query)
     reach = (query.epsilon + spread) * (1.0 + _REACH_SLACK)
-    cells, masses, columns = _cell_list(varifold, s, reach)
+    cells = _cell_list(varifold, s, reach)
     num = np.zeros((len(points), n))
     den = np.zeros(len(points))
     nodes, table, probe_base = _node_path(varifold, query, s, reach, points)
-    expanded = None
-    if s is not None and not nodes.all():
-        expanded = varifold.quadrature_points(s)[0].T
-        masses = masses / size
-    atoms = (cells.order, expanded, masses, columns)
+    atoms = None
+    if not nodes.all():
+        masses, columns = _sorted_groups(varifold, cells, reach)
+        expanded = None
+        if s is not None:
+            expanded = varifold.quadrature_points(s)[0].T
+            masses = masses / size
+        atoms = (cells.order, expanded, masses, columns)
     # (probes, atoms per candidate group, sums over a run's pairs): the
     # candidate counts times the atoms per group bound each probe's pairs
     paths = (

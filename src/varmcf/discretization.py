@@ -73,35 +73,45 @@ class Mesh:
         return self.edge * math.sqrt(self.n)
 
     def num_cells(self):
-        return int(np.prod(self.counts))
+        return math.prod(int(c) for c in self.counts)
 
-    def cell_index(self, points):
-        """Integer grid coordinates of the cells containing ``points``.
+    def cell_keys(self, points):
+        """Row-major linear index of the cell containing each point.
 
         Points up to 1e-9 edges outside the box, and points on its far
         faces, belong to the nearest cell. Raises ValueError if any point
-        lies farther outside. Works axis by axis on (..., n) points.
+        lies farther outside or is not finite. Works axis by axis on
+        (..., n) points and returns (...) int64 keys; the grid coordinates
+        are ``np.unravel_index(keys, mesh.counts)``.
         """
         points = np.asarray(points, dtype=float)
         if points.shape[-1:] != (self.n,):
             raise ValueError(f"points must have dimension {self.n}")
+        if self.num_cells() > np.iinfo(np.int64).max:
+            raise ValueError(f"{self.num_cells()} cells overflow int64 keys")
         slack = 1e-9 * self.edge
-        inside = np.ones(points.shape[:-1], dtype=bool)
-        for k in range(self.n):
-            column = points[..., k]
-            inside &= column >= self.origin[k] - slack
-            inside &= column <= self.upper[k] + slack
-        if not np.all(inside):
+        lo, hi = self.origin - slack, self.upper + slack
+        flat = points.reshape(-1, self.n)
+        columns = [flat[:, k] for k in range(self.n)]
+        # min and max are nan if any entry is, which fails the comparison
+        if not all(col.size == 0 or (np.min(col) >= lo[k]
+                                     and np.max(col) <= hi[k])
+                   for k, col in enumerate(columns)):
+            inside = np.ones(len(columns[0]), dtype=bool)
+            for k, col in enumerate(columns):
+                inside &= col >= lo[k]
+                inside &= col <= hi[k]
             bad = int(np.sum(~inside))
-            raise ValueError(
-                f"{bad} point(s) lie outside the mesh box"
-            )
-        idx = np.empty(points.shape, dtype=np.int64)
-        for k in range(self.n):
-            idx[..., k] = np.floor((points[..., k] - self.origin[k])
-                                   / self.edge)
-            np.clip(idx[..., k], 0, self.counts[k] - 1, out=idx[..., k])
-        return idx
+            raise ValueError(f"{bad} point(s) lie outside the mesh box")
+        keys = np.zeros(len(flat), dtype=np.int64)
+        for k, col in enumerate(columns):
+            cell = np.subtract(col, self.origin[k])
+            cell /= self.edge
+            cell = np.floor(cell, out=cell).astype(np.int64)
+            np.clip(cell, 0, self.counts[k] - 1, out=cell)
+            keys *= self.counts[k]
+            keys += cell
+        return keys.reshape(points.shape[:-1])
 
     def cell_center(self, indices):
         return self.origin + (np.asarray(indices) + 0.5) * self.edge
@@ -123,12 +133,11 @@ def discretize(sample, mesh, subdivisions=2):
             f"sample dimension {positions.shape[1]} != mesh dimension {mesh.n}"
         )
 
-    idx = mesh.cell_index(positions)
-    lin = np.ravel_multi_index(tuple(idx.T), tuple(mesh.counts))
-    order = np.argsort(lin, kind="stable")
-    sorted_lin = lin[order]
+    keys = mesh.cell_keys(positions)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
     starts = np.flatnonzero(
-        np.r_[True, sorted_lin[1:] != sorted_lin[:-1]]
+        np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
     )
 
     w_sorted = np.take(weights, order)
@@ -145,7 +154,9 @@ def discretize(sample, mesh, subdivisions=2):
     # entry (i, j) averaged with entry (j, i)
     mean = 0.5 * (mean + mean[:, np.arange(n * n).reshape(n, n).T.ravel()])
     mean_proj = mean.reshape(-1, n, n)
-    cell_idx = np.take(idx, order[starts][keep], axis=0)
+    cell_idx = np.stack(
+        np.unravel_index(sorted_keys[starts][keep], mesh.counts), axis=1
+    )
 
     # Frobenius-nearest rank-d projector: span of the top-d eigenvectors.
     _, vecs = np.linalg.eigh(mean_proj)
@@ -165,8 +176,7 @@ def tangent_fit_quality(sample, volumetric):
     """
     positions, projectors, weights = sample.atoms()
     mesh = volumetric.mesh
-    idx = mesh.cell_index(positions)
-    lin = np.ravel_multi_index(tuple(idx.T), tuple(mesh.counts))
+    lin = mesh.cell_keys(positions)
     cell_lin = np.ravel_multi_index(
         tuple(volumetric.cell_indices.T), tuple(mesh.counts)
     )

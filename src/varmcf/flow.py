@@ -113,8 +113,11 @@ class FlowTrajectory:
     snapshot times. Samples are generated lazily at a fixed resolution and
     cached by check-then-set without a lock: threads that miss together
     each compute the same deterministic sample and one is kept, so a race
-    can only repeat work. The exact masses must be non-increasing in time,
-    as mean curvature flow demands.
+    can only repeat work. The parameter grid of that resolution (angles,
+    their cosines and sines, quadrature nodes, and the projectors where
+    they depend on the angle alone) is built once, by the first sample, and
+    every snapshot is sampled on it. The exact masses must be
+    non-increasing in time, as mean curvature flow demands.
     """
 
     def __init__(self, flow, t_start, t_end, panels, resolution):
@@ -137,6 +140,7 @@ class FlowTrajectory:
         if np.any(np.diff(self.masses) > 1e-12 * self.masses[0]):
             raise ValueError("mass must be non-increasing along the flow")
         self._samples = {}
+        self._grid = None
 
     @property
     def panels(self):
@@ -151,7 +155,10 @@ class FlowTrajectory:
     def sample(self, i):
         i = int(i)
         if i not in self._samples:
-            self._samples[i] = self.shape(i).sample(self.resolution)
+            shape = self.shape(i)
+            if self._grid is None:
+                self._grid = shape._grid(self.resolution)
+            self._samples[i] = shape._sample_on(self._grid)
         return self._samples[i]
 
     def exact_mass(self, i):

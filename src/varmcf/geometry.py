@@ -125,6 +125,17 @@ class AnalyticShape:
         floor; for the circle, sphere, and torus the total measure is exact
         up to roundoff.
         """
+        return self._sample_on(self._grid(resolution))
+
+    @staticmethod
+    def _grid(resolution):
+        """The part of ``sample`` that depends on the resolution alone,
+        read-only: the snapshots of a ``FlowTrajectory`` share it. Shapes
+        with no such part keep the checked resolution as their grid."""
+        return _check_resolution(resolution)
+
+    def _sample_on(self, grid):
+        """The sample on a grid from ``_grid``."""
         raise NotImplementedError
 
     def bounding_box(self, margin=0.0):
@@ -138,6 +149,35 @@ class AnalyticShape:
                 f"{what} not on the shape within {ON_SHAPE_TOL:g} "
                 f"(distance {worst:.3e})"
             )
+
+
+def _check_resolution(resolution):
+    resolution = int(resolution)
+    if resolution < 8:
+        raise ValueError("resolution must be at least 8")
+    return resolution
+
+
+def _frozen(*arrays):
+    """The arrays, made read-only so that samples may share them."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def _angle_grid(resolution):
+    """cos and sin of ``resolution`` equally spaced angles, and the
+    projectors t t^T of the unit tangents t = (-sin, cos), filled column by
+    column: the grid of a circle or an Angenent oval, which carries its
+    unit tangent at its outward normal angle."""
+    resolution = _check_resolution(resolution)
+    theta = 2.0 * np.pi * np.arange(resolution) / resolution
+    cos, sin = np.cos(theta), np.sin(theta)
+    proj = np.empty((resolution, 2, 2))
+    proj[:, 0, 0] = sin * sin
+    proj[:, 0, 1] = proj[:, 1, 0] = -sin * cos
+    proj[:, 1, 1] = cos * cos
+    return _frozen(cos, sin, proj)
 
 
 def _center(center, n):
@@ -191,19 +231,15 @@ class Circle(AnalyticShape):
     def total_measure(self):
         return 2.0 * np.pi * self.radius
 
-    def sample(self, resolution):
-        resolution = _check_resolution(resolution)
-        theta = 2.0 * np.pi * np.arange(resolution) / resolution
-        cos, sin = np.cos(theta), np.sin(theta)
-        # column by column: positions c + r (cos, sin) and the projector
-        # t t^T of the unit tangent t = (-sin, cos)
+    _grid = staticmethod(_angle_grid)
+
+    def _sample_on(self, grid):
+        cos, sin, proj = grid
+        resolution = len(cos)
+        # column by column: positions c + r (cos, sin)
         pts = np.empty((resolution, 2))
         pts[:, 0] = self.radius * cos + self.center[0]
         pts[:, 1] = self.radius * sin + self.center[1]
-        proj = np.empty((resolution, 2, 2))
-        proj[:, 0, 0] = sin * sin
-        proj[:, 0, 1] = proj[:, 1, 0] = -sin * cos
-        proj[:, 1, 1] = cos * cos
         w = np.full(resolution, 2.0 * np.pi * self.radius / resolution)
         return WeightedSample(pts, proj, w, self.d)
 
@@ -280,8 +316,7 @@ class Ellipse(AnalyticShape):
         lo = min(self.a, self.b)
         return float(4.0 * hi * ellipe(1.0 - (lo / hi) ** 2))
 
-    def sample(self, resolution):
-        resolution = _check_resolution(resolution)
+    def _sample_on(self, resolution):
         theta = 2.0 * np.pi * np.arange(resolution) / resolution
         pts = self.center + np.stack(
             [self.a * np.cos(theta), self.b * np.sin(theta)], axis=1
@@ -339,15 +374,14 @@ class AngenentOval(AnalyticShape):
 
         return float(4.0 * np.sqrt(self.m) * ellipk(self.m))
 
-    def sample(self, resolution):
-        resolution = _check_resolution(resolution)
-        theta = 2.0 * np.pi * np.arange(resolution) / resolution
-        cos, sin = np.cos(theta), np.sin(theta)
+    _grid = staticmethod(_angle_grid)
+
+    def _sample_on(self, grid):
+        cos, sin, proj = grid
+        resolution = len(cos)
         pts = np.empty((resolution, 2))
         pts[:, 0] = np.arcsin(np.sqrt(self.m) * cos)
         pts[:, 1] = np.arcsinh(np.sqrt(self.m) * sin / self.a)
-        t = np.stack([-sin, cos], axis=1)  # the unit tangent
-        proj = t[:, :, None] * t[:, None, :]
         w = (2.0 * np.pi / resolution) / self._kappa(cos)
         return WeightedSample(pts, proj, w, self.d)
 
@@ -399,17 +433,25 @@ class Sphere(AnalyticShape):
     def total_measure(self):
         return 4.0 * np.pi * self.radius**2
 
-    def sample(self, resolution):
+    @staticmethod
+    def _grid(resolution):
         """Product rule: trapezoid in azimuth, Gauss-Legendre in the polar
         coordinate z. The area element is r dtheta dz, so the rule integrates
-        the total measure exactly and smooth integrands spectrally."""
+        the total measure exactly and smooth integrands spectrally. Returns
+        the Legendre nodes u and weights, sqrt(1 - u^2) and the azimuth
+        cosines and sines."""
         resolution = _check_resolution(resolution)
         u, gw = np.polynomial.legendre.leggauss(resolution)
         ntheta = 2 * resolution
         theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
+        return _frozen(u, gw, np.sqrt(1.0 - u**2), np.cos(theta),
+                       np.sin(theta))
+
+    def _sample_on(self, grid):
+        u, gw, root, cos, sin = grid
+        resolution, ntheta = len(u), len(cos)
         r = self.radius
-        ring = r * np.sqrt(1.0 - u**2)
-        cos, sin = np.cos(theta), np.sin(theta)
+        ring = r * root
         # Column by column, rows over (polar node, azimuth node).
         count = resolution * ntheta
         pts = np.empty((count, 3))
@@ -502,8 +544,7 @@ class Torus(AnalyticShape):
     def total_measure(self):
         return 4.0 * np.pi**2 * self.major_radius * self.minor_radius
 
-    def sample(self, resolution):
-        resolution = _check_resolution(resolution)
+    def _sample_on(self, resolution):
         theta = 2.0 * np.pi * np.arange(resolution) / resolution
         psi = 2.0 * np.pi * np.arange(resolution) / resolution
         tg, pg = np.meshgrid(theta, psi, indexing="ij")
@@ -520,13 +561,6 @@ class Torus(AnalyticShape):
         up = self.minor_radius + margin
         half = np.array([out, out, up])
         return self.center - half, self.center + half
-
-
-def _check_resolution(resolution):
-    resolution = int(resolution)
-    if resolution < 8:
-        raise ValueError("resolution must be at least 8")
-    return resolution
 
 
 _SHAPES = {

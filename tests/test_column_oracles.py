@@ -43,6 +43,12 @@ def _oracle_cell_index(mesh, points):
     return np.clip(idx, 0, mesh.counts - 1)
 
 
+def _oracle_cell_keys(mesh, points):
+    idx = _oracle_cell_index(mesh, points)
+    return np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)),
+                                tuple(mesh.counts))
+
+
 def _oracle_circle_sample(circle, resolution):
     theta = 2.0 * np.pi * np.arange(resolution) / resolution
     cos, sin = np.cos(theta), np.sin(theta)
@@ -128,11 +134,14 @@ def _outcome(fn, *args):
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
-       kinds=st.lists(st.sampled_from(["interior", "far", "slack", "out"]),
+       kinds=st.lists(st.sampled_from(["interior", "far", "slack", "out",
+                                       "nan"]),
                       min_size=1, max_size=40))
 def test_cell_index_matches_broadcast_formula(n, seed, kinds):
-    # interior points, points on a face, points within the 1e-9 edge slack
-    # outside a face and points beyond it; one axis moved per point
+    # Mesh.cell_keys against the raveled broadcast cell index: interior
+    # points, points on a face, points within the 1e-9 edge slack outside a
+    # face, points beyond it and nan or infinite coordinates; one axis moved
+    # per point
     rng = np.random.default_rng(seed)
     lo = rng.uniform(-3.0, 3.0, size=n)
     hi = lo + rng.uniform(0.05, 2.0, size=n)
@@ -150,11 +159,14 @@ def test_cell_index_matches_broadcast_formula(n, seed, kinds):
         elif kind == "out":
             points[row, axis] = face + sign * slack * 10 ** rng.uniform(
                 0.1, 9.0)
-    expected = _outcome(_oracle_cell_index, mesh, points)
-    actual = _outcome(mesh.cell_index, points)
+        elif kind == "nan":
+            points[row, axis] = rng.choice([np.nan, np.inf, -np.inf])
+    expected = _outcome(_oracle_cell_keys, mesh, points)
+    actual = _outcome(mesh.cell_keys, points)
     if isinstance(expected, tuple):
         assert actual == expected
-        assert expected[1].startswith(f"{kinds.count('out')} point(s)")
+        bad = kinds.count("out") + kinds.count("nan")
+        assert expected[1].startswith(f"{bad} point(s)")
     else:
         assert _same_bits(actual, expected)
 

@@ -252,6 +252,23 @@ def test_per_pair_path_expands_positions_only():
     assert ("atom_cloud", s_a) not in vol._caches
 
 
+def test_node_probes_build_no_per_pair_columns():
+    # a query on nodes only takes the offset table, which reads the cell
+    # list's order but neither its sorted masses nor projector columns
+    vol, pair, eps, probes = _own_node_circle_case()
+    nodes = probes[:-1]
+    assert vol.quadrature_index(nodes)[0].all()
+    query = CurvatureQuery(pair, eps)
+    num, den = regularized_sums(vol, query, nodes)
+    kinds = {key[0] for key in vol._caches}
+    assert "cell_list" in kinds and "sorted_groups" not in kinds
+    # the per-pair probe at the centre builds them; node sums keep their bits
+    num_all, den_all = regularized_sums(vol, query, probes)
+    assert "sorted_groups" in {key[0] for key in vol._caches}
+    assert np.array_equal(num_all[:-1], num)
+    assert np.array_equal(den_all[:-1], den)
+
+
 @pytest.mark.parametrize(
     "make_case", [_sphere_case, _volumetric_circle_case, _own_node_circle_case]
 )

@@ -27,14 +27,45 @@ def test_mesh_geometry_basics():
 
 def test_mesh_far_face_points_belong_to_last_cell():
     mesh = Mesh([-1.0, -1.0], [1.0, 1.0], 0.5)
-    idx = mesh.cell_index(np.array([[1.0, 0.0], [-1.0, 1.0]]))
-    np.testing.assert_array_equal(idx, [[3, 2], [0, 3]])
+    keys = mesh.cell_keys(np.array([[1.0, 0.0], [-1.0, 1.0]]))
+    np.testing.assert_array_equal(keys, [3 * 4 + 2, 0 * 4 + 3])
+    assert keys.dtype == np.int64
 
 
 def test_mesh_rejects_outside_points():
     mesh = Mesh([0.0, 0.0], [1.0, 1.0], 0.25)
     with pytest.raises(ValueError, match="outside"):
-        mesh.cell_index(np.array([[0.5, 0.5], [1.5, 0.5]]))
+        mesh.cell_keys(np.array([[0.5, 0.5], [1.5, 0.5]]))
+
+
+def test_cell_keys_refuse_a_mesh_too_large_for_int64():
+    mesh = Mesh([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1e-7)
+    assert mesh.num_cells() > np.iinfo(np.int64).max
+    with pytest.raises(ValueError, match="overflow int64"):
+        mesh.cell_keys(np.array([[0.5, 0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5])
+def test_discretize_rejects_points_outside_the_box(bad):
+    sample = Circle(0.4).sample(64)
+    positions = sample.positions.copy()
+    positions[[3, 40], 1] = bad
+    sample = WeightedSample(positions, sample.projectors, sample.weights, 1)
+    mesh = Mesh([-0.5, -0.5], [0.5, 0.5], 0.1)
+    with pytest.raises(ValueError, match=r"^2 point\(s\) lie outside"):
+        discretize(sample, mesh)
+
+
+def test_discretize_bins_far_face_and_slack_points_to_edge_cells():
+    # on the far face, and a hair outside either face within the slack
+    mesh = Mesh([0.0, 0.0], [1.0, 1.0], 0.25)
+    slack = 0.5e-9 * mesh.edge
+    positions = np.array([[1.0, 0.5], [0.5, 1.0 + slack], [-slack, 0.1]])
+    projectors = np.tile(np.diag([1.0, 0.0]), (3, 1, 1))
+    sample = WeightedSample(positions, projectors, [1.0, 2.0, 3.0], 1)
+    vol = discretize(sample, mesh)
+    np.testing.assert_array_equal(vol.cell_indices, [[0, 0], [2, 3], [3, 2]])
+    np.testing.assert_array_equal(vol.masses, [3.0, 2.0, 1.0])
 
 
 def test_mesh_rejects_degenerate_box():
@@ -92,7 +123,8 @@ def test_discretize_conserves_mass_per_cell(points, edge, subdivisions):
         weights.sum(), rel=1e-12
     )
     # every cell carries exactly the weight of the samples binned into it
-    cells = mesh.cell_index(positions)
+    cells = np.stack(np.unravel_index(mesh.cell_keys(positions),
+                                      mesh.counts), axis=1)
     for index, mass in zip(vol.cell_indices, vol.masses):
         inside = np.all(cells == index, axis=1)
         assert mass == pytest.approx(weights[inside].sum(), rel=1e-12)

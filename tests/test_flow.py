@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from varmcf.brakke import RadialBump, exact_flow_residual
+from varmcf.brakke import RadialBump, brakke_residual, exact_flow_residual
 from varmcf.flow import (
     AngenentOvalFlow,
     FlowTrajectory,
     ShrinkingCircle,
     ShrinkingSphere,
 )
-from varmcf.geometry import AngenentOval
+from varmcf.geometry import AngenentOval, Sphere
+from varmcf.kernels import default_kernel_pair
 
 
 def test_circle_radius_law():
@@ -50,6 +51,67 @@ def test_trajectory_samples_cached_and_consistent():
     assert float(np.sum(s.weights)) == pytest.approx(
         traj.exact_mass(2), rel=1e-12
     )
+
+
+# (flow, end time, resolution) of one small trajectory per exact flow
+GRID_FLOWS = [
+    (ShrinkingCircle(0.9, (0.01, -0.02)), 0.125, 512),
+    (ShrinkingSphere(1.0), 0.1, 16),
+    (AngenentOvalFlow(-2.0), 0.5, 256),
+]
+GRID_IDS = ["circle", "sphere", "oval"]
+
+
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("flow, t_end, resolution", GRID_FLOWS, ids=GRID_IDS)
+def test_trajectory_samples_equal_shape_samples(flow, t_end, resolution):
+    traj = flow.trajectory(0.0, t_end, 4, resolution)
+    for i in range(len(traj)):
+        shared = traj.sample(i)
+        alone = traj.shape(i).sample(resolution)
+        for name in ("positions", "projectors", "weights"):
+            assert _same_bits(getattr(shared, name), getattr(alone, name))
+
+
+@pytest.mark.parametrize("flow, t_end, resolution", GRID_FLOWS, ids=GRID_IDS)
+def test_trajectory_builds_one_read_only_grid(monkeypatch, flow, t_end,
+                                              resolution):
+    traj = flow.trajectory(0.0, t_end, 4, resolution)
+    cls = type(traj.shape(0))
+    build = cls._grid
+    built = []
+
+    def spy(resolution):
+        built.append(resolution)
+        return build(resolution)
+
+    monkeypatch.setattr(cls, "_grid", staticmethod(spy))
+    samples = [traj.sample(i) for i in range(len(traj))]
+    assert built == [resolution]
+    grid = traj._grid
+    assert all(not array.flags.writeable for array in grid)
+    if cls is not Sphere:
+        # the projectors t t^T depend on the angle alone
+        assert all(s.projectors is grid[2] for s in samples)
+
+
+def test_threaded_oval_residual_matches_serial():
+    # each side samples a fresh trajectory, the threaded one on a grid
+    # that its snapshot threads build and share
+    flow = AngenentOvalFlow(-2.0)
+    pair = default_kernel_pair(2, 1)
+    phi = RadialBump([0.3, 0.5], 0.2, 1.4)
+    serial = brakke_residual(flow.trajectory(0.0, 0.5, 2, 2048), 0.05,
+                             pair, 0.4, phi, subdivisions=1)
+    threaded = brakke_residual(flow.trajectory(0.0, 0.5, 2, 2048), 0.05,
+                               pair, 0.4, phi, subdivisions=1, threads=2)
+    assert serial.residual == threaded.residual
+    for key in ("mass_phi", "curvature_terms", "transport_terms"):
+        assert np.array_equal(getattr(serial, key), getattr(threaded, key))
 
 
 def test_trajectory_bounding_box_is_initial_box():
