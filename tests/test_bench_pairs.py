@@ -1,6 +1,8 @@
-"""The summary arithmetic of tools/bench_pairs.py on hand-made runs."""
+"""The summary arithmetic of tools/bench_pairs.py on hand-made runs, and
+its checkout labels."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -97,3 +99,18 @@ def test_summarize_applies_claims_bounds_and_fail_ratios():
 def test_pairs_alternate_which_side_runs_first():
     assert [bench_pairs.side_order(p)[0] for p in range(4)] == [
         "parent", "change", "parent", "change"]
+
+
+def test_checkout_label_is_the_commit_marked_dirty(tmp_path):
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tmp_path), *args], check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "f").write_text("a")
+    git("add", "f")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "f")
+    head = git("rev-parse", "--short", "HEAD")
+    assert bench_pairs.checkout_label(tmp_path) == head
+    (tmp_path / "f").write_text("b")
+    assert bench_pairs.checkout_label(tmp_path) == head + "-dirty"

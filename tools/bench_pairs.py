@@ -9,7 +9,8 @@ host's speed falls on both sides alike. From the repository root:
         --pairs 10 --seconds 30 --claim residual-circle:op_scaled_s \\
         --out BENCH_19.json
 
-Each run is ``python3 bench/run.py --workload W --seed S --seconds T
+Every workload in the change's BENCHMARK.json runs, and each side is
+labelled by ``git describe --always --dirty`` of its checkout. Each run is ``python3 bench/run.py --workload W --seed S --seconds T
 --trace 0`` in the checkout's own directory; its values are the metrics it
 prints as its last line. Medians and quartiles are ``numpy.percentile``
 (linear) over the runs of one side, and ``change_lower_in_pairs`` counts
@@ -28,7 +29,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import platform
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -147,6 +150,14 @@ def run_bench(checkout, workload, seed, seconds, trace):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def checkout_label(checkout):
+    """The checkout's commit, marked ``-dirty`` if its tracked files differ."""
+    done = subprocess.run(["git", "-C", str(checkout), "describe", "--always",
+                           "--dirty"], capture_output=True, text=True,
+                          check=True)
+    return done.stdout.strip()
+
+
 def side_order(pair):
     return ("parent", "change") if pair % 2 == 0 else ("change", "parent")
 
@@ -157,8 +168,6 @@ def parse_args(argv):
                         help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True,
                         help="checkout of the change")
-    parser.add_argument("--workloads", nargs="+",
-                        help="default: every workload in BENCHMARK.json")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--pairs", type=int, default=10)
@@ -167,32 +176,33 @@ def parse_args(argv):
                         help="a claimed gain, checked by the 9-of-10 rule")
     parser.add_argument("--trace-pairs", type=int, default=0)
     parser.add_argument("--trace-seconds", type=float, default=10.0)
-    parser.add_argument("--about", default="")
-    parser.add_argument("--parent-label", default="parent")
-    parser.add_argument("--change-label", default="change")
     parser.add_argument("--out", type=Path, required=True)
     return parser.parse_args(argv)
 
 
 def main(argv=None):
-    args = parse_args(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parse_args(argv)
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
     with open(checkouts["change"] / "BENCHMARK.json") as fh:
         spec = json.load(fh)
-    names = args.workloads or [w["name"] for w in spec["workloads"]]
+    names = [w["name"] for w in spec["workloads"]]
     claims = {tuple(c.split(":", 1)) for c in args.claim}
+    unknown = claims - {(name, m["name"]) for name in names
+                        for m in spec["end_to_end"]}
+    if unknown:
+        raise SystemExit(f"no such workload:metric in BENCHMARK.json: "
+                         f"{sorted(unknown)}")
     import scipy
 
     payload = {
-        "about": args.about,
-        "parent": args.parent_label,
-        "change": args.change_label,
-        "host": (f"{platform.machine()}, Python "
+        "parent": checkout_label(checkouts["parent"]),
+        "change": checkout_label(checkouts["change"]),
+        "host": (f"{platform.machine()}, {os.cpu_count()} CPUs, Python "
                  f"{platform.python_version()}, numpy {np.__version__}, "
                  f"scipy {scipy.__version__}"),
-        "command": " ".join(["python3", "tools/bench_pairs.py"]
-                            + (sys.argv[1:] if argv is None else argv)),
+        "command": shlex.join(["python3", "tools/bench_pairs.py", *argv]),
         "final": {"seed": args.seed, "seconds": args.seconds},
     }
     records = {name: {"parent": [], "change": []} for name in names}
