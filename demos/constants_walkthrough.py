@@ -11,6 +11,7 @@ import numpy as np
 from varmcf import (
     Circle,
     SampledManifoldVarifold,
+    ShrinkingCircle,
     ahlfors_estimate,
     constants_ledger,
     default_kernel_pair,
@@ -33,7 +34,9 @@ c2 = measure_tangent_lipschitz(circle, 4096)
 print(f"measured: C0={c0:.4f}  C1={c1:.4f}  C2={c2:.4f}")
 
 beta = pair.beta(c0)
-gamma = gamma_feasible(c0, 1.0, beta, pair.lip_xi, 1)
+# the flow on [0, 0.125] curves the circle up to 1 / r(0.125)
+lambda_max = 1.0 / ShrinkingCircle(1.0).radius_at(0.125)
+gamma = gamma_feasible(c0, lambda_max, beta, pair.lip_xi, 1)
 print(f"kernel floor beta={beta:.6f}  feasible gamma={gamma:.3e}")
 
 ledger = constants_ledger(pair, 1, c0, c1, c2, gamma, 2 * np.pi, 0.125)

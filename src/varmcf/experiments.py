@@ -9,8 +9,8 @@ timestamps so reruns are byte-identical.
 
 Each kind has one reader that takes every option of the config, builds the
 library inputs through their own constructors and returns the computation
-to run; validation, diagnostics and the run all go through it, so they
-cannot disagree about a config.
+to run; validation, the warnings of ``--validate-only`` and the run all go
+through it, so they cannot disagree about a config.
 
 Exit codes: 0 success, 2 invalid configuration, 3 mesh-kernel hypothesis
 violation, 4 runtime failure.
@@ -51,7 +51,6 @@ from .varifold import SampledManifoldVarifold
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "diagnostics",
     "main",
     "run",
     "validate",
@@ -199,7 +198,7 @@ def _log_slope(xs, ys):
 
 # Each reader below takes every option of its kind, checks it, and returns
 # (compute, warnings): compute() gives (header, rows, summary lines) and
-# warnings are the non-fatal notes of diagnostics().
+# warnings are the non-fatal notes that --validate-only prints.
 
 
 def _curvature_convergence(cfg):
@@ -447,17 +446,6 @@ def validate(cfg):
     except ConfigError as err:
         return [str(err)]
     return []
-
-
-def diagnostics(cfg):
-    """Non-fatal warnings: things the run will reject later, not now.
-
-    Empty for an invalid config, whose problems come from validate().
-    """
-    try:
-        return _read(cfg)[1]
-    except ConfigError:
-        return []
 
 
 def run(cfg, out_dir, seed=None):

@@ -161,9 +161,6 @@ class FlowTrajectory:
             self._samples[i] = shape._sample_on(self._grid)
         return self._samples[i]
 
-    def exact_mass(self, i):
-        return float(self.masses[i])
-
     def bounding_box(self, margin=0.0):
         """Box containing every snapshot, inflated by ``margin``."""
         lo, hi = self.shape(0).bounding_box(margin)

@@ -1,10 +1,11 @@
 """Analytic closed shapes, tangent planes, and surface sampling.
 
-Shapes know their exact geometry: positions, tangent planes as orthogonal
-projectors, mean curvature vectors, principal curvature bounds, and total
-d-dimensional measure. ``AnalyticShape.sample`` turns a shape into a
-weighted point sample whose weights are quadrature weights for the surface
-measure, using spectrally accurate product rules on the parameter domain.
+Shapes know their exact geometry through four queries: mean curvature
+vectors, total d-dimensional measure, a bounding box, and
+``AnalyticShape.sample``, which turns a shape into a weighted point sample
+with exact tangent planes as orthogonal projectors and weights that are
+quadrature weights for the surface measure, using spectrally accurate
+product rules on the parameter domain.
 """
 
 from __future__ import annotations
@@ -26,18 +27,6 @@ __all__ = [
 
 # Tolerance of on-shape membership checks.
 ON_SHAPE_TOL = 1e-8
-
-
-def _as_points(y, n):
-    """Return (points, was_single) with points shaped (N, n)."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        if y.shape[0] != n:
-            raise ValueError(f"expected a point in R^{n}, got shape {y.shape}")
-        return y[None, :], True
-    if y.ndim != 2 or y.shape[1] != n:
-        raise ValueError(f"expected points shaped (N, {n}), got {y.shape}")
-    return y, False
 
 
 class WeightedSample(_WeightedAtoms):
@@ -86,31 +75,35 @@ class AnalyticShape:
     """Base class for closed shapes with exact differential geometry.
 
     Subclasses set ``d`` (intrinsic dimension) and ``n`` (ambient dimension)
-    and implement the geometry queries. Off-shape points are rejected with a
-    tolerance of 1e-8.
+    and implement the four queries: ``_mean_curvature``, ``total_measure``,
+    ``_grid`` and ``_sample_on`` for ``sample``, and ``bounding_box``.
+    Off-shape points are rejected with a tolerance of 1e-8.
     """
 
     d = None
     n = None
 
     def mean_curvature(self, y):
-        """Mean curvature vector at on-shape points ``y``.
+        """Mean curvature vector at on-shape points ``y``, one point in R^n
+        or points shaped (N, n).
 
         For the d-sphere of radius r centered at c this is -(d/r^2)(y - c);
         it points toward the local center of curvature.
         """
-        raise NotImplementedError
+        n = self.n
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 1:
+            if y.shape[0] != n:
+                raise ValueError(
+                    f"expected a point in R^{n}, got shape {y.shape}"
+                )
+            return self._mean_curvature(y[None, :])[0]
+        if y.ndim != 2 or y.shape[1] != n:
+            raise ValueError(f"expected points shaped (N, {n}), got {y.shape}")
+        return self._mean_curvature(y)
 
-    def tangent_projector(self, y):
-        """Tangent-plane projectors, shaped like ``y`` with a trailing (n, n)."""
-        raise NotImplementedError
-
-    def max_principal_curvature(self, y):
-        """Largest principal curvature magnitude at on-shape points."""
-        raise NotImplementedError
-
-    def global_max_principal_curvature(self):
-        """Upper bound of the principal curvature over the whole shape."""
+    def _mean_curvature(self, pts):
+        """The mean curvature vectors at on-shape points shaped (N, n)."""
         raise NotImplementedError
 
     def total_measure(self):
@@ -201,32 +194,11 @@ class Circle(AnalyticShape):
         self.radius = float(radius)
         self.center = _center(center, 2)
 
-    def mean_curvature(self, y):
-        pts, single = _as_points(y, 2)
+    def _mean_curvature(self, pts):
         rel = pts - self.center
         dist = np.linalg.norm(rel, axis=1)
         self._reject_off_shape(np.abs(dist - self.radius))
-        h = -rel / self.radius**2
-        return h[0] if single else h
-
-    def tangent_projector(self, y):
-        pts, single = _as_points(y, 2)
-        rel = pts - self.center
-        dist = np.linalg.norm(rel, axis=1)
-        self._reject_off_shape(np.abs(dist - self.radius))
-        t = np.stack([-rel[:, 1], rel[:, 0]], axis=1) / dist[:, None]
-        p = t[:, :, None] * t[:, None, :]
-        return p[0] if single else p
-
-    def max_principal_curvature(self, y):
-        pts, single = _as_points(y, 2)
-        rel = np.linalg.norm(pts - self.center, axis=1)
-        self._reject_off_shape(np.abs(rel - self.radius))
-        k = np.full(len(pts), 1.0 / self.radius)
-        return float(k[0]) if single else k
-
-    def global_max_principal_curvature(self):
-        return 1.0 / self.radius
+        return -rel / self.radius**2
 
     def total_measure(self):
         return 2.0 * np.pi * self.radius
@@ -261,52 +233,22 @@ class Ellipse(AnalyticShape):
         self.b = float(b)
         self.center = _center(center, 2)
 
-    def _theta_of(self, pts):
+    def _mean_curvature(self, pts):
         rel = pts - self.center
         theta = np.arctan2(rel[:, 1] / self.b, rel[:, 0] / self.a)
         recon = np.stack(
             [self.a * np.cos(theta), self.b * np.sin(theta)], axis=1
         )
         self._reject_off_shape(np.linalg.norm(recon - rel, axis=1))
-        return theta
-
-    def _speed(self, theta):
-        return np.sqrt(
+        speed = np.sqrt(
             (self.a * np.sin(theta)) ** 2 + (self.b * np.cos(theta)) ** 2
         )
-
-    def mean_curvature(self, y):
-        pts, single = _as_points(y, 2)
-        theta = self._theta_of(pts)
-        speed = self._speed(theta)
         kappa = self.a * self.b / speed**3
         # Inward unit normal of the counterclockwise parametrization.
         normal = np.stack(
             [-self.b * np.cos(theta), -self.a * np.sin(theta)], axis=1
         ) / speed[:, None]
-        h = kappa[:, None] * normal
-        return h[0] if single else h
-
-    def tangent_projector(self, y):
-        pts, single = _as_points(y, 2)
-        theta = self._theta_of(pts)
-        t = np.stack(
-            [-self.a * np.sin(theta), self.b * np.cos(theta)], axis=1
-        )
-        t /= np.linalg.norm(t, axis=1)[:, None]
-        p = t[:, :, None] * t[:, None, :]
-        return p[0] if single else p
-
-    def max_principal_curvature(self, y):
-        pts, single = _as_points(y, 2)
-        theta = self._theta_of(pts)
-        k = self.a * self.b / self._speed(theta) ** 3
-        return float(k[0]) if single else k
-
-    def global_max_principal_curvature(self):
-        hi = max(self.a, self.b)
-        lo = min(self.a, self.b)
-        return hi / lo**2
+        return kappa[:, None] * normal
 
     def total_measure(self):
         # imported here so that importing the package skips scipy.special
@@ -359,14 +301,12 @@ class AngenentOval(AnalyticShape):
     def _kappa(self, cos):
         return np.sqrt(1.0 - self.m * cos * cos) / np.sqrt(self.m)
 
-    def mean_curvature(self, y):
-        pts, single = _as_points(y, 2)
+    def _mean_curvature(self, pts):
         px, py = pts[:, 0], pts[:, 1]
         self._reject_off_shape(np.abs(np.cos(px) - self.a * np.cosh(py)))
         theta = np.arctan2(self.a * np.sinh(py), np.sin(px))
         cos, sin = np.cos(theta), np.sin(theta)
-        h = -self._kappa(cos)[:, None] * np.stack([cos, sin], axis=1)
-        return h[0] if single else h
+        return -self._kappa(cos)[:, None] * np.stack([cos, sin], axis=1)
 
     def total_measure(self):
         # imported here so that importing the package skips scipy.special
@@ -403,32 +343,11 @@ class Sphere(AnalyticShape):
         self.radius = float(radius)
         self.center = _center(center, 3)
 
-    def _check(self, pts):
+    def _mean_curvature(self, pts):
         rel = pts - self.center
         dist = np.linalg.norm(rel, axis=1)
         self._reject_off_shape(np.abs(dist - self.radius))
-        return rel
-
-    def mean_curvature(self, y):
-        pts, single = _as_points(y, 3)
-        rel = self._check(pts)
-        h = -(2.0 / self.radius**2) * rel
-        return h[0] if single else h
-
-    def tangent_projector(self, y):
-        pts, single = _as_points(y, 3)
-        rel = self._check(pts) / self.radius
-        p = np.eye(3) - rel[:, :, None] * rel[:, None, :]
-        return p[0] if single else p
-
-    def max_principal_curvature(self, y):
-        pts, single = _as_points(y, 3)
-        self._check(pts)
-        k = np.full(len(pts), 1.0 / self.radius)
-        return float(k[0]) if single else k
-
-    def global_max_principal_curvature(self):
-        return 1.0 / self.radius
+        return -(2.0 / self.radius**2) * rel
 
     def total_measure(self):
         return 4.0 * np.pi * self.radius**2
@@ -488,15 +407,6 @@ class Torus(AnalyticShape):
         self.minor_radius = float(minor_radius)
         self.center = _center(center, 3)
 
-    def _angles_of(self, pts):
-        rel = pts - self.center
-        theta = np.arctan2(rel[:, 1], rel[:, 0])
-        s = np.sqrt(rel[:, 0] ** 2 + rel[:, 1] ** 2)
-        psi = np.arctan2(rel[:, 2], s - self.major_radius)
-        recon = self._position(theta, psi)
-        self._reject_off_shape(np.linalg.norm(recon - rel, axis=1))
-        return theta, psi
-
     def _position(self, theta, psi):
         ring = self.major_radius + self.minor_radius * np.cos(psi)
         return np.stack(
@@ -513,33 +423,16 @@ class Torus(AnalyticShape):
             axis=-1,
         )
 
-    def mean_curvature(self, y):
-        pts, single = _as_points(y, 3)
-        theta, psi = self._angles_of(pts)
+    def _mean_curvature(self, pts):
+        rel = pts - self.center
+        theta = np.arctan2(rel[:, 1], rel[:, 0])
+        s = np.sqrt(rel[:, 0] ** 2 + rel[:, 1] ** 2)
+        psi = np.arctan2(rel[:, 2], s - self.major_radius)
+        recon = self._position(theta, psi)
+        self._reject_off_shape(np.linalg.norm(recon - rel, axis=1))
         ring = self.major_radius + self.minor_radius * np.cos(psi)
         total = 1.0 / self.minor_radius + np.cos(psi) / ring
-        h = -total[:, None] * self._outward_normal(theta, psi)
-        return h[0] if single else h
-
-    def tangent_projector(self, y):
-        pts, single = _as_points(y, 3)
-        theta, psi = self._angles_of(pts)
-        nu = self._outward_normal(theta, psi)
-        p = np.eye(3) - nu[:, :, None] * nu[:, None, :]
-        return p[0] if single else p
-
-    def max_principal_curvature(self, y):
-        pts, single = _as_points(y, 3)
-        _, psi = self._angles_of(pts)
-        ring = self.major_radius + self.minor_radius * np.cos(psi)
-        k = np.maximum(1.0 / self.minor_radius, np.abs(np.cos(psi)) / ring)
-        return float(k[0]) if single else k
-
-    def global_max_principal_curvature(self):
-        return max(
-            1.0 / self.minor_radius,
-            1.0 / (self.major_radius - self.minor_radius),
-        )
+        return -total[:, None] * self._outward_normal(theta, psi)
 
     def total_measure(self):
         return 4.0 * np.pi**2 * self.major_radius * self.minor_radius

@@ -300,13 +300,13 @@ def _probe_indices(count, max_probes):
     return np.unique(np.linspace(0, count - 1, max_probes).round().astype(int))
 
 
-def ahlfors_scan(obj, d, radii, max_probes=64, probes=None):
+def ahlfors_scan(obj, d, radii, max_probes=64):
     """Ball-mass ratios mass(B(x, r)) / r^d over support probes and radii.
 
-    Probes default to an even subsample of the support; pass ``probes`` to
-    scan other centers. Returns a list of (probe, radius, ball_mass, ratio)
-    tuples where the ratio is max(mass / r^d, r^d / mass), the two-sided
-    regularity defect; an empty ball yields an infinite ratio.
+    The probes are an even subsample of at most ``max_probes`` support
+    atoms. Returns a list of (probe, radius, ball_mass, ratio) tuples where
+    the ratio is max(mass / r^d, r^d / mass), the two-sided regularity
+    defect.
     """
     measure = atomize(obj)
     if len(measure) == 0:
@@ -314,18 +314,9 @@ def ahlfors_scan(obj, d, radii, max_probes=64, probes=None):
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
-    if probes is None:
-        if max_probes < 1:
-            raise ValueError(f"max_probes must be >= 1, not {max_probes}")
-        idx = _probe_indices(len(measure), max_probes)
-        probes = measure.positions[idx]
-    else:
-        probes = np.atleast_2d(np.asarray(probes, dtype=float))
-        if probes.ndim != 2 or probes.shape[1] != measure.n:
-            raise ValueError(
-                f"probes of shape {probes.shape} do not match the measure's "
-                f"dimension {measure.n}"
-            )
+    if max_probes < 1:
+        raise ValueError(f"max_probes must be >= 1, not {max_probes}")
+    probes = measure.positions[_probe_indices(len(measure), max_probes)]
     rows = []
     for p in range(len(probes)):
         diff = measure.positions - probes[p]
@@ -333,10 +324,7 @@ def ahlfors_scan(obj, d, radii, max_probes=64, probes=None):
         for r in radii:
             ball = float(np.sum(measure.masses[dist <= r]))
             scale = r**d
-            if ball == 0.0:
-                ratio = np.inf
-            else:
-                ratio = max(ball / scale, scale / ball)
+            ratio = max(ball / scale, scale / ball)
             rows.append((probes[p], float(r), ball, float(ratio)))
     return rows
 

@@ -292,7 +292,10 @@ def test_criterion_08_flow_residual(capsys):
 
     # (b), (c) discretized snapshots at the h = eps^4 coupling
     c1_fit, _ = _fitted_c1()
-    gamma = gamma_feasible(2.1, 1.0, PAIR2.beta(2.1), PAIR2.lip_xi, 1)
+    # the curvature grows along the flow to 1 / r at the end of the window
+    gamma = gamma_feasible(
+        2.1, 1.0 / flow.radius_at(0.125), PAIR2.beta(2.1), PAIR2.lip_xi, 1
+    )
     ledger = constants_ledger(
         PAIR2, 1, 2.1, c1_fit, _measured_c2(), gamma, 2.0 * np.pi, 0.125
     )
@@ -337,7 +340,9 @@ def test_criterion_09_constants_ledger(capsys):
     m0 = 2.0 * np.pi
     horizon = 0.125
     beta = PAIR2.beta(c0)
-    gamma = gamma_feasible(c0, 1.0, beta, PAIR2.lip_xi, d)
+    # the largest curvature of the unit circle's flow on [0, horizon]
+    lambda_max = 1.0 / ShrinkingCircle(1.0).radius_at(horizon)
+    gamma = gamma_feasible(c0, lambda_max, beta, PAIR2.lip_xi, d)
     drho = PAIR2.sup_rho_deriv
     d2rho = PAIR2.sup_rho_second
     dxi = PAIR2.sup_xi_deriv

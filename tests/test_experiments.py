@@ -13,7 +13,6 @@ from varmcf.brakke import ConstantsLedger
 from varmcf.experiments import (
     ConfigError,
     ExperimentConfig,
-    diagnostics,
     main,
     run,
     validate,
@@ -219,13 +218,16 @@ def test_unreadable_and_unparseable_configs(tmp_path):
             ExperimentConfig.load(path)
 
 
-def test_gamma_diagnostic_is_warning_not_error(tmp_path):
+def test_gamma_diagnostic_is_warning_not_error(tmp_path, capsys):
     text = BRAKKE_CONFIG.format(extra="gamma = 1e-4\nedge = 0.05")
-    cfg = ExperimentConfig.load(_write(tmp_path, text))
-    assert validate(cfg) == []
-    warns = diagnostics(cfg)
+    path = _write(tmp_path, text)
+    assert validate(ExperimentConfig.load(path)) == []
+    assert main([str(path), "--validate-only"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    warns = [line for line in lines if line.startswith("warning: ")]
     assert len(warns) == 1
     assert "2h > gamma*eps" in warns[0]
+    assert lines[-1] == "config ok"
 
 
 def test_gamma_violation_exits_three(tmp_path, capsys):

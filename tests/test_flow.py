@@ -38,7 +38,7 @@ def test_trajectory_masses_track_radius():
     traj = flow.trajectory(0.0, 0.125, panels=8, resolution=128)
     assert len(traj) == 9
     for i, t in enumerate(traj.times):
-        assert traj.exact_mass(i) == pytest.approx(
+        assert traj.masses[i] == pytest.approx(
             2.0 * np.pi * flow.radius_at(t), rel=1e-14
         )
     assert np.all(np.diff(traj.masses) < 0)
@@ -49,7 +49,7 @@ def test_trajectory_samples_cached_and_consistent():
     s = traj.sample(2)
     assert s is traj.sample(2)
     assert float(np.sum(s.weights)) == pytest.approx(
-        traj.exact_mass(2), rel=1e-12
+        traj.masses[2], rel=1e-12
     )
 
 

@@ -13,6 +13,11 @@ from varmcf.geometry import (
     make_shape,
 )
 
+# Every shape answers the same queries; these cover each class once.
+SHAPES = [Circle(1.0), Ellipse(1.5, 1.0), AngenentOval(-2.0), Sphere(1.0),
+          Torus(2.0, 0.5)]
+SHAPE_IDS = ["circle", "ellipse", "oval", "sphere", "torus"]
+
 
 def test_circle_mean_curvature_value():
     circle = Circle(radius=1.0)
@@ -33,12 +38,16 @@ def test_sphere_mean_curvature_magnitude(radius):
 
 
 def test_off_shape_point_rejected():
-    circle = Circle(radius=1.0)
-    with pytest.raises(ValueError, match="not on the shape"):
-        circle.mean_curvature(np.array([1.0 + 1e-6, 0.0]))
-    ellipse = Ellipse(1.5, 1.0)
-    with pytest.raises(ValueError, match="not on the shape"):
-        ellipse.tangent_projector(np.array([1.6, 0.0]))
+    # a sample point moved 1e-6 along its normal leaves every shape
+    for shape in SHAPES:
+        y = shape.sample(16).positions[5]
+        h = shape.mean_curvature(y)
+        with pytest.raises(ValueError, match="not on the shape"):
+            shape.mean_curvature(y + 1e-6 * h / np.linalg.norm(h))
+        with pytest.raises(ValueError, match="expected a point"):
+            shape.mean_curvature(np.zeros(shape.n + 1))
+        with pytest.raises(ValueError, match="expected points shaped"):
+            shape.mean_curvature(np.zeros((2, shape.n - 1)))
 
 
 @pytest.mark.parametrize(
@@ -98,11 +107,7 @@ def test_ellipse_total_measure_matches_quadrature():
         assert fine <= coarse / 2.0
 
 
-@pytest.mark.parametrize(
-    "shape",
-    [Circle(1.0), Ellipse(1.5, 1.0), Sphere(1.0), Torus(2.0, 0.5)],
-    ids=["circle", "ellipse", "sphere", "torus"],
-)
+@pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
 def test_sample_projector_invariants(shape):
     s = shape.sample(16)
     p = s.projectors
@@ -112,33 +117,16 @@ def test_sample_projector_invariants(shape):
     assert np.max(np.abs(traces - shape.d)) < 1e-10
 
 
-def test_circle_tangent_projector_analytic():
-    circle = Circle(1.0)
-    theta = 0.7
-    y = np.array([np.cos(theta), np.sin(theta)])
-    t = np.array([-np.sin(theta), np.cos(theta)])
-    p = circle.tangent_projector(y)
-    assert np.max(np.abs(p - np.outer(t, t))) < 1e-12
-
-
-def test_torus_tangent_kills_normal():
-    torus = Torus(2.0, 0.5)
-    s = torus.sample(12)
-    h = torus.mean_curvature(s.positions)
+@pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+def test_tangent_kills_normal(shape):
+    s = shape.sample(12)
+    h = shape.mean_curvature(s.positions)
     # H is normal, so tangent projectors must annihilate it.
     proj_h = np.einsum("kij,kj->ki", s.projectors, h)
     assert np.max(np.abs(proj_h)) < 1e-10
-
-
-def test_max_principal_curvature():
-    ellipse = Ellipse(1.5, 1.0)
-    k_end = ellipse.max_principal_curvature(np.array([1.5, 0.0]))
-    assert abs(k_end - 1.5 / 1.0**2) < 1e-12
-    assert abs(ellipse.global_max_principal_curvature() - 1.5) < 1e-12
-    torus = Torus(2.0, 0.5)
-    assert abs(torus.global_max_principal_curvature() - 2.0) < 1e-12
-    tight = Torus(1.0, 0.6)
-    assert abs(tight.global_max_principal_curvature() - 1.0 / 0.4) < 1e-12
+    # one point gives its row of the batch, bitwise
+    for k in (0, 5, len(s) - 1):
+        assert np.array_equal(shape.mean_curvature(s.positions[k]), h[k])
 
 
 def test_make_shape_dispatch():

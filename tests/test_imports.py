@@ -3,14 +3,21 @@ concurrent.futures. scipy.sparse loads only when the per-pair curvature
 path or a bounded-Lipschitz distance is computed, and scipy.optimize only
 for the latter; the curvature of a volumetric varifold at its own
 quadrature nodes loads no scipy at all, and an Angenent oval trajectory
-only scipy.special, for its perimeters."""
+only scipy.special, for its perimeters. And what the package exports:
+every name it lists resolves."""
 
+import ast
+import importlib
+import inspect
 import json
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 from conftest import runner_env
+
+import varmcf
 
 # Modules the package must not load on import.
 LAZY = """
@@ -121,3 +128,21 @@ def test_oval_trajectory_loads_only_scipy_special(tmp_path):
     scope = {}
     exec(CASES["oval-trajectory"], scope)
     assert values == [float(v) for v in scope["values"]]
+
+
+def test_every_export_resolves():
+    # each module's __all__
+    for info in pkgutil.iter_modules(varmcf.__path__):
+        module = importlib.import_module(f"varmcf.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"varmcf.{info.name}.{name}"
+    # each name the package re-exports, which its module lists as public
+    tree = ast.parse(inspect.getsource(varmcf))
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                and node.module:
+            module = importlib.import_module(f"varmcf.{node.module}")
+            for alias in node.names:
+                assert hasattr(varmcf, alias.name), alias.name
+                assert alias.name in module.__all__, \
+                    f"varmcf.{node.module}.{alias.name}"
