@@ -5,8 +5,6 @@ tangent plane. Total mass is conserved exactly; the plane fit and the
 measure both improve linearly as the cells shrink.
 """
 
-import tempfile
-
 import numpy as np
 
 from varmcf import Circle, Mesh, SampledManifoldVarifold, discretize
@@ -30,13 +28,3 @@ for edge in (0.4, 0.2, 0.1, 0.05, 0.025):
     gap = abs(measure.mass_apply(phi) - vol.mass_apply(phi))
     print(f"{edge:5.3f} {len(vol.masses):6d}   {mass_gap:.2e}   "
           f"{fit:10.6f}   {gap:.6f} (bound {vol.h * vol.mass_total():.6f})")
-
-# round trip through the cell CSV format
-from varmcf.discretization import read_cells_csv, write_cells_csv
-
-vol = discretize(sample, Mesh(lo, hi, 0.1))
-with tempfile.TemporaryDirectory() as tmp:
-    write_cells_csv(vol, f"{tmp}/circle_cells.csv")
-    back = read_cells_csv(f"{tmp}/circle_cells.csv")
-print(f"csv round trip: {len(back.masses)} cells, "
-      f"mass {back.mass_total():.12f} vs {vol.mass_total():.12f}")

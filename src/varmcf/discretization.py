@@ -11,7 +11,6 @@ terms of.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -22,8 +21,6 @@ __all__ = [
     "Mesh",
     "discretize",
     "tangent_fit_quality",
-    "write_cells_csv",
-    "read_cells_csv",
 ]
 
 
@@ -123,8 +120,15 @@ def discretize(sample, mesh, subdivisions=2):
     ``sample`` is any set with ``atoms()``: a ``WeightedSample`` or an
     atomic varifold. The grouping does not depend on the order of the
     points: the same cells hold the same points. Each cell sums its points
-    in sample order (a stable sort groups them), so a permuted sample gives
-    masses and planes that agree up to rounding, not bitwise.
+    in sample order, so a permuted sample gives masses and planes that
+    agree up to rounding, not bitwise.
+
+    Points are grouped in runs of consecutive points in one cell, and
+    sorting the run keys orders the cells. A cell that is one run sums it
+    where it lies; a cell that several runs cross gathers its points run by
+    run, in the order a stable sort of the point keys gives. If whole-run
+    cells hold at most half the points, every cell gathers, so the in-place
+    sums never step over more points than they sum.
     """
     positions, projectors, weights = sample.atoms()
     d = _plane_dim(projectors)
@@ -132,21 +136,51 @@ def discretize(sample, mesh, subdivisions=2):
         raise ValueError(
             f"sample dimension {positions.shape[1]} != mesh dimension {mesh.n}"
         )
+    n = mesh.n
+    # projector entries as (N, n * n) rows
+    entries = projectors.reshape(-1, n * n)
 
     keys = mesh.cell_keys(positions)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    starts = np.flatnonzero(
-        np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
-    )
+    run_starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    lengths = np.diff(run_starts, append=len(keys))
+    run_keys = keys[run_starts]
+    by_key = np.argsort(run_keys, kind="stable")
+    run_keys = run_keys[by_key]
+    # each cell in key order: its first run in by_key and its run count
+    first = np.flatnonzero(np.r_[True, run_keys[1:] != run_keys[:-1]])
+    count = np.diff(first, append=len(by_key))
+    whole = count == 1
+    if 2 * np.sum(lengths[by_key[first[whole]]]) <= len(keys):
+        whole[:] = False
 
-    w_sorted = np.take(weights, order)
-    cell_mass = np.add.reduceat(w_sorted, starts)
-    # projector entries as (N, n * n) rows
-    n = mesh.n
-    entries = np.take(projectors.reshape(-1, n * n), order, axis=0)
-    entries *= w_sorted[:, None]
-    proj_sum = np.add.reduceat(entries, starts, axis=0)
+    cell_mass = np.empty(len(first))
+    proj_sum = np.empty((len(first), n * n))
+    cells = np.flatnonzero(whole)
+    if len(cells):
+        cells = cells[np.argsort(by_key[first[cells]])]  # in sample order
+        runs = by_key[first[cells]]
+        # the bounds of each whole run and of the points up to the next one
+        bounds = np.c_[run_starts, run_starts + lengths][runs].ravel()
+        lo, hi = bounds[0], bounds[-1]
+        bounds = bounds[:-1] - lo
+        cell_mass[cells] = np.add.reduceat(weights[lo:hi], bounds)[::2]
+        column = np.empty(hi - lo)
+        for k in range(n * n):
+            np.multiply(entries[lo:hi, k], weights[lo:hi], out=column)
+            proj_sum[cells, k] = np.add.reduceat(column, bounds)[::2]
+    cells = np.flatnonzero(~whole)
+    runs = by_key[np.repeat(~whole, count)]
+    size = lengths[runs]
+    ends = np.cumsum(size)
+    # the points of the runs one after another, cell by cell
+    order = np.repeat(run_starts[runs] - ends + size, size)
+    order += np.arange(len(order))
+    starts = (ends - size)[np.cumsum(count[cells]) - count[cells]]
+    w = np.take(weights, order)
+    cell_mass[cells] = np.add.reduceat(w, starts)
+    rows = np.take(entries, order, axis=0)
+    rows *= w[:, None]
+    proj_sum[cells] = np.add.reduceat(rows, starts, axis=0)
 
     keep = cell_mass > 0
     cell_mass = cell_mass[keep]
@@ -155,7 +189,7 @@ def discretize(sample, mesh, subdivisions=2):
     mean = 0.5 * (mean + mean[:, np.arange(n * n).reshape(n, n).T.ravel()])
     mean_proj = mean.reshape(-1, n, n)
     cell_idx = np.stack(
-        np.unravel_index(sorted_keys[starts][keep], mesh.counts), axis=1
+        np.unravel_index(run_keys[first][keep], mesh.counts), axis=1
     )
 
     # Frobenius-nearest rank-d projector: span of the top-d eigenvectors.
@@ -191,88 +225,3 @@ def tangent_fit_quality(sample, volumetric):
     if total == 0:
         raise ValueError("sample has zero total weight")
     return float(np.sum(weights * dist)) / total
-
-
-def write_cells_csv(volumetric, path):
-    """Cell table: grid index, center, mass, projector entries (row-major).
-
-    A leading comment line records the mesh geometry so the table can be
-    read back without the originating mesh object.
-    """
-    mesh = volumetric.mesh
-    n = volumetric.n
-    origin_txt = " ".join(f"{v:.17g}" for v in mesh.origin)
-    header = (
-        [f"k{i + 1}" for i in range(n)]
-        + [f"c{i + 1}" for i in range(n)]
-        + ["mass"]
-        + [f"p{i + 1}_{j + 1}" for i in range(n) for j in range(n)]
-    )
-    centers = volumetric.cell_centers()
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# edge={mesh.edge:.17g} origin={origin_txt} "
-            f"subdivisions={volumetric.subdivisions}\n"
-        )
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(len(volumetric)):
-            row = (
-                [str(int(v)) for v in volumetric.cell_indices[k]]
-                + [f"{v:.17g}" for v in centers[k]]
-                + [f"{volumetric.masses[k]:.17g}"]
-                + [f"{v:.17g}" for v in volumetric.projectors[k].reshape(-1)]
-            )
-            writer.writerow(row)
-
-
-def read_cells_csv(path):
-    """Rebuild a :class:`VolumetricVarifold` written by ``write_cells_csv``.
-
-    The reconstructed mesh box is tight around the occupied cells.
-    """
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            raise ValueError("missing mesh comment line")
-        meta = {}
-        key = None
-        for tok in first[1:].split():
-            if "=" in tok:
-                key, _, val = tok.partition("=")
-                meta.setdefault(key, []).append(val)
-            elif key is None:
-                raise ValueError(
-                    f"mesh comment line has {tok!r} before any key="
-                )
-            else:
-                # continuation of a vector-valued entry such as origin
-                meta[key].append(tok)
-        for name in ("edge", "origin", "subdivisions"):
-            if name not in meta:
-                raise ValueError(f"mesh comment line has no {name}=")
-        edge = float(meta["edge"][0])
-        origin = np.array([float(v) for v in meta["origin"]])
-        subdivisions = int(meta["subdivisions"][0])
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("cell table has no header row") from None
-        rows = list(reader)
-    n = sum(1 for name in header if name.startswith("k"))
-    if len(header) != 2 * n + 1 + n * n:
-        raise ValueError("cell table header has unexpected column count")
-    if not rows:
-        raise ValueError("cell table has no cells")
-    data = np.array([[float(v) for v in row] for row in rows])
-    if data.shape[1] != len(header):
-        raise ValueError("cell table row width does not match header")
-    cell_idx = data[:, :n].astype(np.int64)
-    masses = data[:, 2 * n]
-    projectors = data[:, 2 * n + 1:].reshape(-1, n, n)
-    hi = origin + (cell_idx.max(axis=0) + 1) * edge
-    mesh = Mesh(origin, hi, edge)
-    return VolumetricVarifold(
-        mesh, cell_idx, masses, projectors, subdivisions=subdivisions
-    )

@@ -51,6 +51,14 @@ def _plane_dim(projectors):
     return int(round(float(np.trace(projectors[0]))))
 
 
+def _row_steps(rows):
+    """Per pair of consecutive integer rows, a number with the sign of the
+    step between them in row-major order: the first axis that moves decides
+    it, since each axis's weight exceeds the sum of those after it."""
+    n = rows.shape[1]
+    return np.sign(np.diff(rows, axis=0)) @ (1 << np.arange(n - 1, -1, -1))
+
+
 def _no_cells(subdivisions):
     if subdivisions is not None:
         raise ValueError("an atomic set has no cells to subdivide")
@@ -209,14 +217,14 @@ class VolumetricVarifold(_WeightedAtoms):
         cell_indices, masses, projectors = (
             cell_indices[keep], masses[keep], projectors[keep]
         )
-        # Normalize storage order so evaluation is independent of input order.
-        order = np.lexsort(cell_indices.T[::-1])
-        cell_indices, masses, projectors = (
-            cell_indices[order], masses[order], projectors[order]
-        )
-        if len(cell_indices) > 1:
-            same = np.all(np.diff(cell_indices, axis=0) == 0, axis=1)
-            if np.any(same):
+        # Normalize storage order so evaluation is independent of input order;
+        # rows that strictly increase, as discretize's do, need no sort.
+        if not np.all(_row_steps(cell_indices) > 0):
+            order = np.lexsort(cell_indices.T[::-1])
+            cell_indices, masses, projectors = (
+                cell_indices[order], masses[order], projectors[order]
+            )
+            if np.any(_row_steps(cell_indices) == 0):
                 raise ValueError("duplicate cell indices")
         if len(masses) == 0:
             raise ValueError("volumetric varifold has no cells")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from varmcf import cells
 from varmcf.cells import CellList
 from varmcf.discretization import Mesh, discretize
+from varmcf.flow import AngenentOvalFlow
 from varmcf.geometry import Circle, Sphere, WeightedSample
 from varmcf.varifold import (
     VolumetricVarifold,
@@ -213,6 +214,83 @@ def test_discretize_matches_broadcast_formula(shape, resolution, edge):
     mesh = Mesh(*shape.bounding_box(margin=0.05), edge)
     vol = discretize(sample, mesh, subdivisions=2)
     ref = _oracle_discretize(sample, mesh, subdivisions=2)
+    for name in ("cell_indices", "masses", "projectors"):
+        assert _same_bits(getattr(vol, name), getattr(ref, name)), name
+
+
+def _runs_per_cell(sample, mesh):
+    """Number of runs of consecutive points that cross each occupied cell."""
+    keys = mesh.cell_keys(sample.positions)
+    runs = keys[np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])]
+    return np.unique(runs, return_counts=True)[1]
+
+
+def _shuffled_circle():
+    circle = Circle(1.0, (0.013, -0.007))
+    sample = circle.sample(4096)
+    perm = np.random.default_rng(4).permutation(len(sample))
+    sample = WeightedSample(sample.positions[perm], sample.projectors[perm],
+                            sample.weights[perm], sample.dim)
+    mesh = Mesh(*circle.bounding_box(margin=0.05), 0.03)
+    assert np.mean(_runs_per_cell(sample, mesh) > 1) > 0.9
+    return sample, mesh
+
+
+def _oval_snapshot():
+    trajectory = AngenentOvalFlow(-2.0).trajectory(0.0, 1.0, 2, 4096)
+    return trajectory.sample(1), Mesh(*trajectory.bounding_box(), 0.02)
+
+
+def _sphere_crossed_by_rings():
+    sphere = Sphere(1.0, (0.01, 0.0, -0.02))
+    sample = sphere.sample(48)
+    mesh = Mesh(*sphere.bounding_box(margin=0.05), 0.15)
+    assert np.mean(_runs_per_cell(sample, mesh) > 1) > 0.75
+    return sample, mesh
+
+
+def _zero_weight_run():
+    # one point moved, weightless, into another cell's run: its old cell
+    # becomes two runs, the new one gains a run of zero weight
+    circle = Circle(1.0)
+    sample = circle.sample(4096)
+    positions, weights = sample.positions.copy(), sample.weights.copy()
+    positions[1000], weights[1000] = positions[3000], 0.0
+    sample = WeightedSample(positions, sample.projectors, weights,
+                            sample.dim)
+    mesh = Mesh(*circle.bounding_box(margin=0.05), 0.03)
+    keys = mesh.cell_keys(positions)
+    assert keys[999] == keys[1001] != keys[1000] == keys[3000]
+    return sample, mesh
+
+
+def _circle_seam():
+    circle = Circle(1.0)
+    sample = circle.sample(4096)
+    mesh = Mesh(*circle.bounding_box(margin=0.05), 0.04)
+    keys = mesh.cell_keys(sample.positions)
+    assert keys[0] == keys[-1] and np.sum(keys == keys[0]) < len(keys) / 2
+    assert keys[1:-1].min() < keys[0] < keys[1:-1].max()
+    return sample, mesh
+
+
+def _one_point():
+    sample = Sphere(0.7).sample(8)
+    sample = WeightedSample(sample.positions[5:6], sample.projectors[5:6],
+                            sample.weights[5:6], sample.dim)
+    return sample, Mesh([-1.0] * 3, [1.0] * 3, 0.3)
+
+
+@pytest.mark.parametrize("build", [
+    _shuffled_circle, _oval_snapshot, _sphere_crossed_by_rings,
+    _zero_weight_run, _circle_seam, _one_point,
+], ids=lambda build: build.__name__.strip("_"))
+def test_discretize_matches_broadcast_formula_run_by_run(build):
+    # cells that are one run, cells crossed by several runs, and samples
+    # that mix them, against the stable sort of every point key
+    sample, mesh = build()
+    vol = discretize(sample, mesh, subdivisions=1)
+    ref = _oracle_discretize(sample, mesh, subdivisions=1)
     for name in ("cell_indices", "masses", "projectors"):
         assert _same_bits(getattr(vol, name), getattr(ref, name)), name
 

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +9,9 @@ from hypothesis import strategies as st
 from varmcf.discretization import (
     Mesh,
     discretize,
-    read_cells_csv,
     tangent_fit_quality,
-    write_cells_csv,
 )
+from varmcf.flow import ShrinkingCircle
 from varmcf.geometry import Circle, Sphere, Torus, WeightedSample
 
 
@@ -214,43 +216,19 @@ def test_dimension_mismatch_rejected():
         discretize(sample, mesh)
 
 
-def test_cells_csv_round_trip(tmp_path):
-    shape = Sphere(1.0)
-    sample = shape.sample(24)
-    mesh = Mesh(*shape.bounding_box(margin=0.05), 0.25)
-    vol = discretize(sample, mesh, subdivisions=3)
-    path = tmp_path / "cells.csv"
-    write_cells_csv(vol, path)
-    back = read_cells_csv(path)
-    np.testing.assert_array_equal(back.cell_indices, vol.cell_indices)
-    np.testing.assert_array_equal(back.masses, vol.masses)
-    np.testing.assert_allclose(back.projectors, vol.projectors, atol=1e-12)
-    assert back.subdivisions == 3
-    assert back.mesh.edge == vol.mesh.edge
-    np.testing.assert_array_equal(back.mesh.origin, vol.mesh.origin)
-    # evaluation agrees through the round trip
-    def phi(points):
-        return np.cos(points @ np.array([1.0, 2.0, -0.5]))
-
-    assert back.mass_apply(phi) == pytest.approx(
-        vol.mass_apply(phi), rel=1e-14
-    )
-
-
-@pytest.mark.parametrize("text, problem", [
-    ("# 0.5 edge=0.5 origin=0 0 subdivisions=2\nk1,k2\n", "before any key="),
-    ("# origin=0 0 subdivisions=2\nk1,k2\n", "no edge="),
-    ("# edge=0.5 origin=0 0 subdivisions=2\n", "no header row"),
-])
-def test_cells_csv_rejects_malformed_files(tmp_path, text, problem):
-    path = tmp_path / "bad.csv"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=problem):
-        read_cells_csv(path)
-
-
-def test_cells_csv_rejects_missing_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("k1,k2,c1,c2,mass,p1_1,p1_2,p2_1,p2_2\n")
-    with pytest.raises(ValueError, match="comment"):
-        read_cells_csv(path)
+def test_discretize_of_a_residual_snapshot_peaks_below_one_mib():
+    # a residual-circle snapshot: 32,768 samples at edge eps^4 / sqrt(2),
+    # eps 0.4. Its cells are whole runs, summed where they lie one entry
+    # column at a time, so no sort permutation or (N, n * n) gather of the
+    # sample is held; the keys and Mesh.cell_keys' temporaries make the peak
+    trajectory = ShrinkingCircle(1.0, (0.02, -0.03)).trajectory(
+        0.0, 0.125, 4, 32768)
+    mesh = Mesh(*trajectory.bounding_box(), 0.4**4 / math.sqrt(2.0))
+    sample = trajectory.sample(2)
+    tracemalloc.start()
+    try:
+        discretize(sample, mesh, subdivisions=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
