@@ -30,7 +30,7 @@ from .curvature import (  # noqa: F401
     curvature_field,
     regularized_sums,
 )
-from .discretization import Mesh, discretize, tangent_fit_quality  # noqa: F401
+from .discretization import Mesh, discretize  # noqa: F401
 from .flow import (  # noqa: F401
     AngenentOvalFlow,
     FlowTrajectory,

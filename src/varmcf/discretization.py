@@ -20,7 +20,6 @@ from .varifold import VolumetricVarifold, _plane_dim
 __all__ = [
     "Mesh",
     "discretize",
-    "tangent_fit_quality",
 ]
 
 
@@ -200,28 +199,3 @@ def discretize(sample, mesh, subdivisions=2):
     return VolumetricVarifold(
         mesh, cell_idx, cell_mass, cell_proj, subdivisions=subdivisions
     )
-
-
-def tangent_fit_quality(sample, volumetric):
-    """Mass-weighted mean Frobenius distance from sample planes to cell planes.
-
-    Measures how well a single plane per cell represents the sample's
-    tangent field; decays linearly in the cell size for smooth surfaces.
-    """
-    positions, projectors, weights = sample.atoms()
-    mesh = volumetric.mesh
-    lin = mesh.cell_keys(positions)
-    cell_lin = np.ravel_multi_index(
-        tuple(volumetric.cell_indices.T), tuple(mesh.counts)
-    )
-    pos = np.searchsorted(cell_lin, lin)
-    if np.any(pos >= len(cell_lin)) or np.any(cell_lin[pos] != lin):
-        raise ValueError(
-            "sample occupies a cell absent from the volumetric varifold"
-        )
-    diff = projectors - volumetric.projectors[pos]
-    dist = np.sqrt(np.einsum("kij,kij->k", diff, diff))
-    total = float(np.sum(weights))
-    if total == 0:
-        raise ValueError("sample has zero total weight")
-    return float(np.sum(weights * dist)) / total

@@ -110,14 +110,16 @@ class FlowTrajectory:
     """Uniform-in-time snapshots of a flow on [t_start, t_end].
 
     ``panels`` is the number of time subintervals; there are panels + 1
-    snapshot times. Samples are generated lazily at a fixed resolution and
-    cached by check-then-set without a lock: threads that miss together
-    each compute the same deterministic sample and one is kept, so a race
-    can only repeat work. The parameter grid of that resolution (angles,
-    their cosines and sines, quadrature nodes, and the projectors where
-    they depend on the angle alone) is built once, by the first sample, and
-    every snapshot is sampled on it. The exact masses must be
-    non-increasing in time, as mean curvature flow demands.
+    snapshot times. ``sample(i)`` builds snapshot i's sample at a fixed
+    resolution on every call and keeps none, so a residual pass holds one
+    snapshot's sample at a time. Only the parameter grid of that resolution
+    (angles, their cosines and sines, quadrature nodes, and the projectors
+    where they depend on the angle alone) is kept: it is built by the first
+    sample and every snapshot is sampled on it. It is set by check-then-set
+    without a lock, so snapshot threads that miss together each build the
+    same read-only grid and one is kept, which can only repeat work. The
+    exact masses must be non-increasing in time, as mean curvature flow
+    demands.
     """
 
     def __init__(self, flow, t_start, t_end, panels, resolution):
@@ -139,7 +141,6 @@ class FlowTrajectory:
         self.masses.flags.writeable = False
         if np.any(np.diff(self.masses) > 1e-12 * self.masses[0]):
             raise ValueError("mass must be non-increasing along the flow")
-        self._samples = {}
         self._grid = None
 
     @property
@@ -153,13 +154,10 @@ class FlowTrajectory:
         return self.flow.shape_at(self.times[i])
 
     def sample(self, i):
-        i = int(i)
-        if i not in self._samples:
-            shape = self.shape(i)
-            if self._grid is None:
-                self._grid = shape._grid(self.resolution)
-            self._samples[i] = shape._sample_on(self._grid)
-        return self._samples[i]
+        shape = self.shape(int(i))
+        if self._grid is None:
+            self._grid = shape._grid(self.resolution)
+        return shape._sample_on(self._grid)
 
     def bounding_box(self, margin=0.0):
         """Box containing every snapshot, inflated by ``margin``."""

@@ -132,11 +132,16 @@ class _AtomicVarifold(_WeightedAtoms):
             raise ValueError("non-finite values in varifold data")
         if np.any(masses < 0):
             raise ValueError("masses must be nonnegative")
-        # copies, so that freezing them leaves the caller's arrays writable
+        # An array that is read-only and owns its data is kept as it is:
+        # it can be written only by switching its flag back on, exactly like
+        # the frozen copy that would replace it. Every other array is
+        # copied, so that freezing it leaves the caller's array writable.
         keep = masses > 0
         whole = keep.all()
         positions, projectors, masses = (
-            a.copy() if whole else a[keep]
+            a[keep] if not whole
+            else a if not a.flags.writeable and a.flags.owndata
+            else a.copy()
             for a in (positions, projectors, masses)
         )
         if dim is None:

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,8 +320,8 @@ def test_brakke_residual_gamma_enforcement():
 
 
 def test_brakke_residual_threads_match_serial():
-    # Each side gets a fresh trajectory, so the threaded run fills the
-    # sample and varifold caches concurrently.
+    # Each side gets a fresh trajectory, so the threaded run's snapshot
+    # threads build its parameter grid and varifold caches concurrently.
     flow = ShrinkingCircle(1.0)
     pair = default_kernel_pair(2, 1)
     phi = RadialBump([0.3, 0.0], 0.2, 1.4)
@@ -384,6 +385,29 @@ def test_brakke_residual_builds_one_offset_table(monkeypatch, threads):
     for key in ("mass_phi", "curvature_terms", "transport_terms",
                 "failed_per_snapshot", "min_den_over_floor"):
         assert np.array_equal(getattr(fresh, key), getattr(report, key))
+
+
+def _residual_peak(panels):
+    """tracemalloc peak, in MiB, of a residual-circle-scale residual:
+    32,768 samples, eps 0.4, edge eps^4 / sqrt(2), ``panels`` panels."""
+    traj = ShrinkingCircle(1.0).trajectory(0.0, 0.125, panels, 32768)
+    phi = RadialBump([0.3, 0.0], 0.2, 1.4)
+    tracemalloc.start()
+    try:
+        brakke_residual(traj, 0.4**4 / np.sqrt(2.0), default_kernel_pair(2, 1),
+                        0.4, phi, subdivisions=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
+def test_brakke_residual_holds_one_snapshot_sample_at_a_time():
+    # a trajectory keeps only its parameter grid, so a serial residual
+    # holds one snapshot's sample and binning at a time: its peak does not
+    # grow with the number of snapshots
+    assert _residual_peak(8) < 4.0
+    assert abs(_residual_peak(16) - _residual_peak(4)) <= 0.25
 
 
 def test_brakke_residual_records_failures_per_snapshot():

@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varmcf.discretization import (
-    Mesh,
-    discretize,
-    tangent_fit_quality,
-)
+from varmcf.discretization import Mesh, discretize
 from varmcf.flow import ShrinkingCircle
 from varmcf.geometry import Circle, Sphere, Torus, WeightedSample
 
@@ -174,21 +170,6 @@ def test_cell_plane_maximizes_alignment_over_direction_sweep():
         cand = float(np.sum(line_projector(theta) * mean_proj))
         assert best >= cand - 1e-12
     np.testing.assert_allclose(fitted, line_projector(0.0), atol=1e-12)
-
-
-def test_tangent_fit_quality_decays_linearly():
-    shape = Circle(1.0)
-    sample = shape.sample(8192)
-    lo, hi = shape.bounding_box(margin=0.05)
-    prev = None
-    for edge in (0.2, 0.1, 0.05):
-        mesh = Mesh(lo, hi, edge)
-        vol = discretize(sample, mesh)
-        q = tangent_fit_quality(sample, vol)
-        assert q <= 1.5 * mesh.h
-        if prev is not None:
-            assert q < prev
-        prev = q
 
 
 def test_mass_measure_approximation_bound():

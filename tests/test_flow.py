@@ -44,10 +44,14 @@ def test_trajectory_masses_track_radius():
     assert np.all(np.diff(traj.masses) < 0)
 
 
-def test_trajectory_samples_cached_and_consistent():
+def test_trajectory_samples_rebuilt_and_consistent():
+    # no sample is kept: each call builds a new one, bitwise the same
     traj = ShrinkingCircle(1.0).trajectory(0.0, 0.125, 4, 256)
     s = traj.sample(2)
-    assert s is traj.sample(2)
+    again = traj.sample(2)
+    assert again is not s
+    for name in ("positions", "projectors", "weights"):
+        assert _same_bits(getattr(again, name), getattr(s, name))
     assert float(np.sum(s.weights)) == pytest.approx(
         traj.masses[2], rel=1e-12
     )

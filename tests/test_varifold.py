@@ -155,6 +155,25 @@ def test_zero_mass_atoms_dropped():
     assert v.mass_total() == pytest.approx(3.0)
 
 
+def test_atomic_varifold_shares_frozen_arrays_and_copies_the_rest():
+    sample = Sphere(1.0).sample(16)
+    v = SampledManifoldVarifold(sample)
+    # frozen arrays that own their data are kept as they are
+    assert np.shares_memory(v.positions, sample.positions)
+    assert np.shares_memory(v.projectors, sample.projectors)
+    # a read-only view of a writable base is copied and frozen
+    weights = sample.weights
+    assert not weights.flags.writeable and weights.base.flags.writeable
+    assert not np.shares_memory(v.masses, weights)
+    assert np.array_equal(v.masses, weights)
+    # writable arrays are copied, and left writable
+    arrays = [np.array(a) for a in sample.atoms()]
+    cloud = PointCloudVarifold(*arrays)
+    for mine, stored in zip(arrays, cloud.atoms()):
+        assert mine.flags.writeable and not stored.flags.writeable
+        assert not np.shares_memory(mine, stored)
+
+
 def test_negative_mass_rejected():
     positions = np.zeros((1, 2))
     proj = np.diag([1.0, 0.0])[None]
