@@ -354,7 +354,7 @@ def measure_tangent_lipschitz(shape, resolution, max_separation=0.1):
     proj = sample.projectors
     cells = CellList(pts, max_separation * (1.0 + 1e-9))
     best = 0.0
-    for run, indptr, pos, _, dist_sq in cells.runs(pts, _PAIR_BLOCK):
+    for run, indptr, pos, dist_sq in cells.runs(pts, _PAIR_BLOCK):
         i, j = np.repeat(run, np.diff(indptr)), np.take(cells.order, pos)
         keep = i < j
         i, j, dist = i[keep], j[keep], np.sqrt(dist_sq[keep])

@@ -4,9 +4,10 @@ Allen and Tildesley, *Computer Simulation of Liquids*, bin particles into
 cells of the search radius so that a particle's neighbours lie in the
 adjacent cells. Here the binned points (group centres) are sorted by
 linear block index instead of chained in linked lists, so each run of
-consecutive blocks is a contiguous range of the sorted points and one
-``searchsorted`` finds it. Only numpy is needed. The curvature engine and
-``brakke.measure_tangent_lipschitz`` both search through it.
+consecutive blocks is a contiguous range of the sorted points, found by
+one ``searchsorted`` over the occupied blocks. Only numpy is needed. The
+curvature engine and ``brakke.measure_tangent_lipschitz`` both search
+through it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ class CellList:
     contiguous ranges of the sorted centres, in increasing position. The
     grid is padded by 2w + 1 blocks, so the ranges of every probe that can
     have candidates lie inside it; other probes get none.
+
+    Only the occupied blocks are kept: ``blocks`` holds their increasing
+    keys and ``heads`` the sorted position of each one's first centre, with
+    the number of centres appended. A range of keys [lo, hi] then spans
+    sorted positions ``heads[searchsorted(blocks, lo)]`` up to
+    ``heads[searchsorted(blocks, hi, "right")]``, exactly the positions of
+    the centres keyed in it, from a table as long as the occupied blocks.
     Raises ValueError if the linear block index could overflow int64.
     """
 
@@ -57,7 +65,10 @@ class CellList:
         for k in range(n - 1):
             keys += blocks[k].astype(np.int64) * self.strides[k]
         self.order = np.argsort(keys, kind="stable")
-        self.keys = keys[self.order]
+        keys = keys[self.order]
+        head = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        self.blocks = keys[head]
+        self.heads = np.append(head, len(keys))
         # sorted centres, one contiguous array per axis
         self.columns = np.empty((n, len(centres)))
         for k in range(n):
@@ -71,10 +82,12 @@ class CellList:
         """Visit the probes in block order, in runs of at most ``budget``
         candidates times ``size`` (or one probe).
 
-        Yields (run, indptr, pos, diff, dist_sq): the run's probe indices,
-        its (probe, centre) pairs within reach as CSR structure over sorted
+        Yields (run, indptr, pos, dist_sq): the run's probe indices, its
+        (probe, centre) pairs within reach as CSR structure over sorted
         positions (``order[pos]`` are the centres), each row increasing and
-        set by its probe alone, and each pair's ``displacements``.
+        set by its probe alone, and each pair's ``squared_distances``. The
+        probes of one block share its candidate ranges, planned once per
+        block from the occupied blocks.
         """
         if not len(points):
             return
@@ -90,8 +103,10 @@ class CellList:
         first = np.r_[True, lin[1:] != lin[:-1]]
         block = np.cumsum(first) - 1
         lo = lin[first][:, None] + self.first
-        starts = np.searchsorted(self.keys, lo, side="left")
-        ends = np.searchsorted(self.keys, lo + 2 * w, side="right")
+        starts = self.heads[np.searchsorted(self.blocks, lo, side="left")]
+        lo += 2 * w
+        ends = self.heads[np.searchsorted(self.blocks, lo, side="right")]
+        del lo  # not held while the runs are built
         ends[lin[first] < 0] = starts[lin[first] < 0]
         total = np.cumsum((ends - starts).sum(axis=1)[block] * size)
         a = 0
@@ -112,24 +127,37 @@ class CellList:
         # position of each candidate among the sorted centres
         at = np.arange(flat.sum()) + np.repeat(
             starts.ravel() - np.cumsum(flat) + flat, flat)
-        diff, dist_sq = displacements(self.columns, at, points, counts)
+        dist_sq = squared_distances(self.columns, at, points, counts)
         near = np.flatnonzero(dist_sq <= self.reach**2)
         indptr = np.searchsorted(near, np.r_[0, np.cumsum(counts)])
-        pos = np.take(at, near)
-        del at  # freed early, the peak stays that of the displacements
-        dist_sq = np.take(dist_sq, near)
-        return indptr, pos, np.take(diff, near, axis=1), dist_sq
+        return indptr, np.take(at, near), np.take(dist_sq, near)
+
+
+def squared_distances(columns, at, points, counts):
+    """The squared distances of ``columns[:, at]`` to the points, each
+    point repeated ``counts`` times, summed axis by axis: the one rounding
+    of a squared distance in the search and the engine. Each axis's
+    gathered buffer takes its difference and square in place, so no
+    displacement array is held."""
+    for k, column in enumerate(columns):
+        # ``at`` is in range, and "clip" skips the bounds check of "raise"
+        term = np.take(column, at, mode="clip")
+        term -= np.repeat(points[:, k], counts)
+        term *= term
+        if k:
+            dist_sq += term
+        else:
+            dist_sq = term  # as summed from 0.0: 0.0 + x is x for x >= 0
+    return dist_sq
 
 
 def displacements(columns, at, points, counts):
     """The (n, len(at)) displacements ``columns[:, at] - point``, each
-    point repeated ``counts`` times, and their squares summed axis by axis:
-    the one rounding of a squared distance in the search and the engine."""
+    point repeated ``counts`` times, rounded as ``squared_distances``
+    rounds them."""
     diff = np.empty((len(columns), len(at)))
-    dist_sq = np.zeros(len(at))
     for k, column in enumerate(columns):
-        # ``at`` is in range, and "clip" skips the buffered copy of "raise"
+        # "clip" also skips the buffered copy "raise" makes for ``out``
         np.take(column, at, out=diff[k], mode="clip")
         diff[k] -= np.repeat(points[:, k], counts)
-        dist_sq += diff[k] * diff[k]
-    return diff, dist_sq
+    return diff

@@ -19,17 +19,19 @@ The neighbour search is a cell list (``cells.CellList``, the linked-cell
 method of molecular dynamics) over groups of atoms, cached on the varifold
 per search reach: a volumetric varifold is searched by cell centre, each
 cell standing for its s_a^n consecutive subcell atoms; an atomic varifold
-is the special case of one-atom groups. The probes are visited in the
-order of the list's blocks, so consecutive probes lie close together, and
-cut into runs of at most ``_PAIR_BUDGET`` candidate pairs, so memory stays
-bounded. Each run takes the (probe, group) pairs within a reach that finds
-every group with an atom within eps. Each probe then takes one of two
-paths, chosen from the probe alone:
+is the special case of one-atom groups. Each probe takes one of two
+paths, chosen from the probe alone. The probes of a path are visited in
+the order of the list's blocks, so consecutive probes lie close together,
+and cut into runs of at most ``_PAIR_BUDGET`` (per pair) or
+``_NODE_BUDGET`` (offset table) candidate pairs, so memory stays bounded.
+Each run takes the (probe, group) pairs within a reach that finds every
+group with an atom within eps.
 
 * Per pair. The (probe, group) pairs expand to (probe, atom) pairs, and
-  only those with |x_j - y| <= eps reach the kernels. An atomic varifold's
-  pairs keep the displacements the search computed. Each probe sums its
-  pairs in the cell list's sorted order of their groups.
+  only those with |x_j - y| <= eps reach the kernels, with their
+  displacements; an atomic varifold's pairs keep the squared distances the
+  search computed. Each probe sums its pairs in the cell list's sorted
+  order of their groups.
 * Offset table. A probe that is one of the varifold's own quadrature nodes
   (subdivisions s_p) sits at a fixed subnode p of its cell, so its
   displacement to every atom of a cell k cells away is one of s_a^n fixed
@@ -43,21 +45,14 @@ paths, chosen from the probe alone:
   path. The table is kept on the query, once per key of everything it is
   built from (edge, n, s_p, s_a, reach, pair and eps), so the snapshots of
   one ``brakke_residual`` call share it. Which probes are nodes is decided
-  by ``VolumetricVarifold.quadrature_index``, beside the node formula. On the
-  27,048 nodes of an eps-0.2, s_p = 2 snapshot of the 32,768-sample unit
-  circle at h = eps^4 (2-core x86-64 VM) the table takes 0.84-0.95 s and
-  178 MiB peak resident, the per-pair path 3.8-4.1 s and 69 MiB.
+  by ``VolumetricVarifold.quadrature_index``, beside the node formula.
 
-The two paths share no contraction. The per-pair path multiplies its
-(probe, group) kernel values, as CSR matrices, into the group masses and
-projector columns, kept in the cell list's order beside it;
-``scipy.sparse`` is imported on its first use. The offset-table path
-weighs each gathered entry with its cell's mass and mass-weighted
-projector and sums each probe's contiguous row of pairs with
-``np.add.reduceat``, so a flow residual loads no scipy. Either way each
-probe's summation order is fixed by the probe, so results do not depend on
-the order of the probes, on the other probes of the batch or on how they
-are cut into runs.
+The two paths share no contraction: the per-pair path multiplies CSR
+matrices of its kernel values (``scipy.sparse``, imported on first use),
+the offset-table path sums each probe's row with ``np.add.reduceat``, so a
+flow residual loads no scipy. Either way each probe's summation order is
+fixed by the probe, so results do not depend on the order of the probes,
+on the other probes of the batch or on how they are cut into runs.
 """
 
 from __future__ import annotations
@@ -66,7 +61,7 @@ import math
 
 import numpy as np
 
-from .cells import CellList, displacements
+from .cells import CellList, displacements, squared_distances
 from .varifold import VolumetricVarifold
 
 __all__ = [
@@ -78,9 +73,12 @@ __all__ = [
     "curvature_field",
 ]
 
-# Most candidate pairs of a run, which bounds its pair arrays: the search
-# holds n + 3 arrays per candidate (with its displacements).
-_PAIR_BUDGET = 24_576
+# Most candidate pairs of a run, which bounds its arrays (the search holds
+# 4 per candidate), on the per-pair and the offset-table path. A per-pair
+# run pays a fixed cost (a CSR build, n + 1 sparse products), so it takes
+# twice the budget: 4 x 49,152 doubles still fit a 2 MiB L2 cache.
+_PAIR_BUDGET = 49_152
+_NODE_BUDGET = 24_576
 # Relative widening of the group search radius: block indices and centre
 # distances are rounded, which must not drop an atom at exactly eps. Covers
 # coordinates up to about 10^6 times the radius.
@@ -255,15 +253,16 @@ def _sorted_groups(varifold, cells, reach):
     return varifold._caches[key]
 
 
-def _chunk_sums(varifold, query, atoms, points, indptr, pos, diff,
-                dist_sq):
+def _chunk_sums(varifold, query, atoms, points, indptr, pos, dist_sq):
     """First variation and mass at a run of probes, pair by pair.
 
-    ``atoms`` is (cell-list order, per-axis subcell nodes or None, mass of
-    each atom of a group, projector columns by sorted position). A
+    ``atoms`` is (cell-list order or None, per-axis atom coordinates, mass
+    of each atom of a group, projector columns by sorted position). A
     volumetric (probe, cell) pair expands to the s^n subcell nodes
     ``g * s^n`` to ``(g + 1) * s^n - 1`` of cell g = ``order[pos]``; an
-    atomic pair keeps the search's displacement and squared distance.
+    atomic pair (order None) is the atom at sorted position ``pos`` and
+    keeps the search's squared distance. Displacements are computed for
+    the atoms within eps alone.
     Pairs with |x_j - y| <= eps form a CSR matrix c over (probe, group) of
     their kernels: the mass is ``(c @ masses) eps^-n``, and axis k's
     weights add ``c @ columns[k]``. Each product adds a row's entries in
@@ -274,19 +273,20 @@ def _chunk_sums(varifold, query, atoms, points, indptr, pos, diff,
 
     order, nodes, masses, columns = atoms
     n, eps, pair = varifold.n, query.epsilon, query.pair
-    groups = pos
-    if nodes is not None:
+    atom = groups = pos
+    if order is not None:
         size = nodes.shape[1] // len(masses)
         atom = (np.take(order, pos)[:, None] * size + np.arange(size)).ravel()
         groups = np.repeat(pos, size)
         indptr = indptr * size
-        diff, dist_sq = displacements(nodes, atom, points, np.diff(indptr))
+        dist_sq = squared_distances(nodes, atom, points, np.diff(indptr))
     r = np.sqrt(dist_sq)
     if len(r) and r.max() > eps:
         near = np.flatnonzero(r <= eps)
         indptr = np.searchsorted(near, indptr)
-        groups, r = np.take(groups, near), np.take(r, near)
-        diff = np.take(diff, near, axis=1)
+        atom, groups = np.take(atom, near), np.take(groups, near)
+        r = np.take(r, near)
+    diff = displacements(nodes, atom, points, np.diff(indptr))
     u = r / eps
     # grad rho_eps(w) = eps^-(n+1) rho'(|w|/eps) w/|w|, zero at w=0
     w = np.take(masses, groups) * pair.rho.derivative(u) / np.maximum(r, 1e-300)
@@ -386,23 +386,22 @@ def _pair_sums(varifold, query, points):
     atoms = None
     if not nodes.all():
         masses, columns = _sorted_groups(varifold, cells, reach)
-        expanded = None
+        atoms = (None, cells.columns, masses, columns)
         if s is not None:
-            expanded = varifold.quadrature_points(s)[0].T
-            masses = masses / size
-        atoms = (cells.order, expanded, masses, columns)
-    # (probes, atoms per candidate group, sums over a run's pairs): the
-    # candidate counts times the atoms per group bound each probe's pairs
+            atoms = (cells.order, varifold.quadrature_points(s)[0].T,
+                     masses / size, columns)
+    # (probes, run budget, atoms per candidate group, sums over a run's
+    # pairs): candidate counts times atoms per group bound a probe's pairs
     paths = (
-        (~nodes, size, lambda run, *pairs: _chunk_sums(
+        (~nodes, _PAIR_BUDGET, size, lambda run, *pairs: _chunk_sums(
             varifold, query, atoms, points[run], *pairs)),
-        (nodes, 1, lambda run, indptr, pos, *_: _node_chunk_sums(
-            varifold, query, table, probe_base[run], indptr,
-            np.take(cells.order, pos))),
+        (nodes, _NODE_BUDGET, 1, lambda run, indptr, pos, *_:
+            _node_chunk_sums(varifold, query, table, probe_base[run], indptr,
+                             np.take(cells.order, pos))),
     )
-    for select, per_group, sums in paths:
+    for select, budget, per_group, sums in paths:
         at = np.flatnonzero(select)
-        for run, *pairs in cells.runs(points[at], _PAIR_BUDGET, per_group):
+        for run, *pairs in cells.runs(points[at], budget, per_group):
             run = at[run]
             num[run], den[run] = sums(run, *pairs)
             del pairs  # before the search builds the next run's

@@ -101,7 +101,9 @@ def _oracle_discretize(sample, mesh, subdivisions=2):
 
 
 def _oracle_cell_list(centres, reach):
-    """(origin, shape, keys, order, columns) of the broadcast constructor."""
+    """(origin, shape, occupied block keys, their first sorted positions
+    with the centre count appended, order, columns) of the broadcast
+    constructor."""
     w = cells._BLOCK_SPLIT
     side = reach / w
     origin = centres.min(axis=0) - (2 * w + 1) * side
@@ -111,7 +113,9 @@ def _oracle_cell_list(centres, reach):
     keys = blocks.astype(np.int64) @ strides
     order = np.argsort(keys, kind="stable")
     columns = np.ascontiguousarray(centres[order].T)
-    return origin, shape, keys[order], order, columns
+    blocks, heads = np.unique(keys, return_index=True)
+    heads = np.append(np.argsort(order)[heads], len(keys))
+    return origin, shape, blocks, heads, order, columns
 
 
 def _oracle_validate_projectors(proj, d):
@@ -303,10 +307,12 @@ def test_cell_list_fields_match_broadcast_formula(n, count, reach):
     centres[count // 2:] = centres[:count - count // 2]  # duplicates
     centres[::7] += 1e3
     grid = CellList(centres, reach)
-    origin, shape, keys, order, columns = _oracle_cell_list(centres, reach)
+    origin, shape, blocks, heads, order, columns = _oracle_cell_list(
+        centres, reach)
     assert _same_bits(grid.origin, origin)
     assert _same_bits(grid.shape, shape)
-    assert _same_bits(grid.keys, keys)
+    assert _same_bits(grid.blocks, blocks)
+    assert _same_bits(grid.heads, heads)
     assert _same_bits(grid.order, order)
     assert _same_bits(grid.columns, columns)
 

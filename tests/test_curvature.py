@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,12 @@ def _own_node_circle_case(subdivisions=1, edge=0.125):
     nodes = vol.atoms()[0]
     probes = np.vstack([nodes[:: len(nodes) // 24][:24], [[0.0, 0.0]]])
     return vol, default_kernel_pair(2, 1), 0.2, probes
+
+
+def _set_budgets(monkeypatch, budget):
+    """Cut the runs of both paths, per pair and offset table, at budget."""
+    monkeypatch.setattr(curvature, "_PAIR_BUDGET", budget)
+    monkeypatch.setattr(curvature, "_NODE_BUDGET", budget)
 
 
 def _cell_list_walk(varifold, eps):
@@ -287,7 +294,7 @@ def test_chunking_does_not_change_sums(monkeypatch, make_case):
     assert neighbours[:-1].min() > 1
     fields = []
     for budget in (1, 100, 10**9):
-        monkeypatch.setattr(curvature, "_PAIR_BUDGET", budget)
+        _set_budgets(monkeypatch, budget)
         fields.append(curvature_field(varifold, query, probes))
     ref = fields[-1]
     assert list(ref.ok) == [True] * (len(probes) - 1) + [False]
@@ -376,7 +383,7 @@ def _off_lattice_sphere_case():
 )
 def test_probe_order_invariance_is_exact(monkeypatch, make_case, budget):
     varifold, pair, eps, probes = make_case()
-    monkeypatch.setattr(curvature, "_PAIR_BUDGET", budget)
+    _set_budgets(monkeypatch, budget)
     query = CurvatureQuery(pair, eps)
     perm = np.random.default_rng(4).permutation(len(probes))
     a = curvature_field(varifold, query, probes)
@@ -420,7 +427,7 @@ def test_runs_stay_within_pair_budget(monkeypatch, make_case):
     # runs are cut by candidate counts, which exceed the pairs found: at a
     # budget of 100 every sphere probe would take a run of its own
     for budget in (300, 1000):
-        monkeypatch.setattr(curvature, "_PAIR_BUDGET", budget)
+        _set_budgets(monkeypatch, budget)
         runs.clear()
         curvature_field(varifold, CurvatureQuery(pair, eps), probes)
         visited = np.concatenate([run for run, _, _ in runs])
@@ -460,7 +467,7 @@ def test_kernels_see_exactly_the_pairs_in_reach(monkeypatch, make_case):
     # |x_j - y| / eps of its pairs within eps and nothing else; outside
     # instrumentation counts kernel evaluations from these calls.
     varifold, pair, eps, probes = make_case()
-    monkeypatch.setattr(curvature, "_PAIR_BUDGET", 100)
+    _set_budgets(monkeypatch, 100)
     cloud = varifold
     if isinstance(varifold, VolumetricVarifold):
         cloud = _expanded_cloud(varifold, eps)
@@ -572,7 +579,7 @@ def test_probe_one_ulp_off_its_node_takes_per_pair_path(monkeypatch):
 
 def test_mixed_batch_gives_each_probe_its_own_bits(monkeypatch):
     vol, pair, eps, probes = _own_node_circle_case()
-    monkeypatch.setattr(curvature, "_PAIR_BUDGET", 2000)
+    _set_budgets(monkeypatch, 2000)
     rng = np.random.default_rng(5)
     moved = probes[6:12].copy()
     moved[:, 0] = np.nextafter(moved[:, 0], -np.inf)
@@ -590,6 +597,40 @@ def test_mixed_batch_gives_each_probe_its_own_bits(monkeypatch):
         assert alone.denominators[0] == field.denominators[k]
 
 
+@pytest.mark.parametrize("budget", [1, 100, 10**9])
+@pytest.mark.parametrize("name", ["_PAIR_BUDGET", "_NODE_BUDGET"])
+def test_each_path_cuts_runs_by_its_own_budget(monkeypatch, name, budget):
+    # a batch of 24 nodes and 13 off-node probes (12 nodes moved by one ulp
+    # and the centre, which has no neighbour): cutting either path's runs
+    # anywhere leaves every probe's bits
+    vol, pair, eps, probes = _own_node_circle_case()
+    moved = probes[:12].copy()
+    moved[:, 1] = np.nextafter(moved[:, 1], np.inf)
+    batch = np.vstack([moved[:6], probes, moved[6:]])
+    assert np.sum(vol.quadrature_index(batch)[0]) == 24
+    query = CurvatureQuery(pair, eps)
+    ref_num, ref_den = regularized_sums(vol, query, batch)
+    calls = []
+    inner = cells.CellList.runs
+
+    def spy(self, points, budget, size=1):
+        runs = list(inner(self, points, budget, size))
+        calls.append((budget, len(points), len(runs)))
+        yield from runs
+
+    monkeypatch.setattr(cells.CellList, "runs", spy)
+    monkeypatch.setattr(curvature, name, budget)
+    num, den = regularized_sums(vol, query, batch)
+    assert np.array_equal(num, ref_num) and np.array_equal(den, ref_den)
+    # the per-pair path runs first
+    seen, count, runs = calls[name == "_NODE_BUDGET"]
+    assert seen == budget and count == (13 if name == "_PAIR_BUDGET" else 24)
+    if budget == 1:
+        assert runs == count  # a probe per run
+    elif budget == 10**9:
+        assert runs == 1
+
+
 @pytest.mark.parametrize("budget", [1, 300, 32_768])
 def test_node_of_an_empty_cell_out_of_reach_sums_to_zero(monkeypatch,
                                                          budget):
@@ -597,7 +638,7 @@ def test_node_of_an_empty_cell_out_of_reach_sums_to_zero(monkeypatch,
     # reach, so their rows of (probe, cell) pairs are empty, at the start,
     # middle or end of a run or as a run of their own.
     vol, pair, eps, probes = _own_node_circle_case()
-    monkeypatch.setattr(curvature, "_PAIR_BUDGET", budget)
+    _set_budgets(monkeypatch, budget)
     empty = vol._node(np.array([[11, 11], [12, 11], [11, 12]]),
                       np.zeros((3, 2), dtype=int), vol.subdivisions)
     batch = np.vstack([empty[:1], probes[:4], empty[1:], probes[4:8]])
@@ -667,7 +708,7 @@ def test_node_probes_call_kernels_once_on_table_radii(monkeypatch, make_case):
     # offset table and nothing else.
     vol, pair, eps, probes = make_case()
     probes = probes[vol.quadrature_index(probes)[0]]
-    monkeypatch.setattr(curvature, "_PAIR_BUDGET", 100)
+    _set_budgets(monkeypatch, 100)
     seen = _count_node_probes(monkeypatch)
     spy = copy.copy(pair)
     spy.xi = _RecordingProfile(pair.xi)
@@ -711,7 +752,7 @@ def test_probe_permutation_invariance_on_mixed_batches(
     rand.shuffle(perm)
     query = CurvatureQuery(_MIXED_PAIR, _MIXED_EPS)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(curvature, "_PAIR_BUDGET", budget)
+        _set_budgets(patch, budget)
         a = curvature_field(_MIXED_VOL, query, batch)
         b = curvature_field(_MIXED_VOL, query, batch[perm])
     assert np.array_equal(a.values[perm], b.values, equal_nan=True)
@@ -782,7 +823,7 @@ def test_empty_probe_batch():
 
 
 def test_run_without_neighbours_fails_cleanly(monkeypatch):
-    monkeypatch.setattr(curvature, "_PAIR_BUDGET", 1)
+    _set_budgets(monkeypatch, 1)
     for varifold, pair, eps, _ in (
         _off_lattice_sphere_case(), _volumetric_circle_case()
     ):
@@ -903,6 +944,29 @@ def test_epsilon_validation():
         CurvatureQuery(pair, 1.5)
     with pytest.raises(ValueError, match="tau"):
         CurvatureQuery(pair, 0.5, tau=0.0)
+
+
+def test_per_pair_call_holds_a_bounded_transient():
+    # One call on the 32,768-atom sphere at 2,048 off-lattice probes, its
+    # cell list and sorted groups cached, peaked 3.16 MB above its start
+    # (tracemalloc, numpy 2.4.6). The bound leaves 8%: a budget of 65,536
+    # candidates, or a run holding another candidate array, exceeds it.
+    rng = np.random.default_rng(1)
+    probes = rng.standard_normal((2048, 3))
+    probes /= np.linalg.norm(probes, axis=1)[:, None]
+    sphere = SampledManifoldVarifold.from_shape(Sphere(1.0), 128)
+    assert len(sphere) == 32_768
+    query = CurvatureQuery(default_kernel_pair(3, 2), 0.2)
+    curvature_field(sphere, query, probes)  # the caches and scipy's import
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        field = curvature_field(sphere, query, probes)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert field.n_failures == 0
+    assert peak < 3.4e6
 
 
 def test_large_batch_performance():
