@@ -5,15 +5,24 @@ The bounded-Lipschitz (flat) distance between finite measures mu and nu is
     sup { integral of phi d(mu - nu) : sup|phi| + lip(phi) <= 1 }.
 
 For atomic measures the supremum is attained by a function defined on the
-union support, so it is an exact linear program over the atom values, with
-one box constraint per atom. Of the slope constraints only those running
-from an atom where mu - nu is positive to one where it is negative are kept:
-by Kantorovich-Rubinstein duality the dual of the program transports the
-positive part of mu - nu onto the negative part with a ground slack, and by
-the triangle inequality an optimal plan never routes mass through a third
-atom, so no other slope constraint can be active. Pruning by distance
-instead is invalid: dropping constraints between distant atoms changes the
-optimum (two unit atoms at distance 3 have distance 6/5, not 2).
+union support, so it is an exact linear program over the atom values. Of
+the slope constraints only those running from an atom where mu - nu is
+positive to one where it is negative are kept: by Kantorovich-Rubinstein
+duality the dual of the program transports the positive part of mu - nu
+onto the negative part with a ground slack, and by the triangle inequality
+an optimal plan never routes mass through a third atom, so no other slope
+constraint can be active. Pruning by distance instead is invalid: dropping
+constraints between distant atoms changes the optimum (two unit atoms at
+distance 3 have distance 6/5, not 2).
+
+Of the two sign constraints |phi_i| <= a of each atom only one can bind:
+phi_p <= a where mu - nu is positive, -phi_q <= a where it is negative. A
+positive atom below -a can be raised to -a without breaking a slope row,
+since its negative partners sit at or above -a, and raising it raises the
+objective; negative atoms mirror this. With c_i the mass of mu - nu at
+atom i and phi_i = sign(c_i) (a - psi_i), the kept one is the variable
+bound psi_i >= 0 (Dantzig's bounded-variable simplex), so the solver holds
+no sign rows at all.
 
 The positive x negative slope rows are not all handed to the solver at
 once; they are generated (Dantzig, Fulkerson and Johnson's constraint
@@ -177,7 +186,7 @@ def _violated_rows(pts, pos, neg, phi, lip, kept):
     """The most violated slope rows not in ``kept`` (sorted keys), with
     excess phi_p - phi_q - lip d_pq above ``_VIOLATION_TOL``: at most
     ``_ROWS_PER_ATOM`` per positive atom."""
-    keys, dist = [], []
+    keys, dist = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     width = len(neg)
     phi_neg = phi[neg]
     for first, block in _pair_distances(pts, pos, neg):
@@ -186,6 +195,10 @@ def _violated_rows(pts, pos, neg, phi, lip, kept):
         excess -= lip * block
         lo, hi = np.searchsorted(kept, [first * width, (first + rows) * width])
         np.put(excess, kept[lo:hi] - first * width, -np.inf)
+        # a block that violates no row (every block, in the last round)
+        # takes no partition
+        if excess.max() <= _VIOLATION_TOL:
+            continue
         key, local, cols = _top_rows(excess, first, _ROWS_PER_ATOM)
         hit = excess[local, cols] > _VIOLATION_TOL
         keys.append(key[hit])
@@ -201,28 +214,25 @@ def _solve_rows(pts, c, pi, qi, d):
 
     k = len(pts)
     m = len(d)
-    # variables: phi_1..phi_k, a (sup bound), L (lipschitz bound); rows:
-    # phi_i - a <= 0, -phi_i - a <= 0, the slope rows, a + L <= 1
-    atom = np.arange(k)
-    slope = 2 * k + np.arange(m)
-    last = 2 * k + m
-    rows = np.concatenate(
-        [atom, atom, atom + k, atom + k, slope, slope, slope, [last, last]]
-    )
+    # variables: psi_1..psi_k with phi_i = sign(c_i) (a - psi_i), a (sup
+    # bound), L (lipschitz bound); psi_i >= 0 is atom i's one sign row that
+    # can bind, and psi_i is fixed at 0 where c_i = 0; rows: 2a - psi_p -
+    # psi_q - L d_pq <= 0 for each slope row, a + L <= 1
+    slope = np.arange(m)
+    rows = np.concatenate([slope, slope, slope, slope, [m, m]])
     cols = np.concatenate(
-        [atom, np.full(k, k), atom, np.full(k, k),
-         pi, qi, np.full(m, k + 1), [k, k + 1]]
+        [pi, qi, np.full(m, k), np.full(m, k + 1), [k, k + 1]]
     )
-    vals = np.concatenate(
-        [np.ones(k), -np.ones(k), -np.ones(k), -np.ones(k),
-         np.ones(m), -np.ones(m), -d, [1.0, 1.0]]
-    )
-    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(last + 1, k + 2))
-    rhs = np.zeros(last + 1)
-    rhs[last] = 1.0
-    objective = np.zeros(k + 2)
-    objective[:k] = -c  # linprog minimizes
-    bounds = [(-1.0, 1.0)] * k + [(0.0, 1.0), (0.0, 1.0)]
+    vals = np.concatenate([-np.ones(2 * m), np.full(m, 2.0), -d, [1.0, 1.0]])
+    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(m + 1, k + 2))
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    weight = np.abs(c)
+    # linprog minimizes -sum_i c_i phi_i = sum_i |c_i| psi_i - a sum_i |c_i|
+    objective = np.concatenate([weight, [-weight.sum(), 0.0]])
+    bounds = np.zeros((k + 2, 2))
+    bounds[:k, 1] = np.where(c == 0, 0.0, np.inf)
+    bounds[k:, 1] = 1.0
     # looked up on the module, where a test or profiler may replace it;
     # presolve removes little from this program and costs more than it saves
     res = sys.modules[__name__].linprog(
@@ -231,7 +241,8 @@ def _solve_rows(pts, c, pi, qi, d):
     )
     if res.status != 0:
         raise RuntimeError(f"distance LP failed: {res.message}")
-    return res.x[:k], res.x[k + 1], float(-res.fun)
+    a, lip = res.x[k], res.x[k + 1]
+    return np.sign(c) * (a - res.x[:k]), lip, float(-res.fun)
 
 
 def bounded_lipschitz_distance(mu, nu):
@@ -239,13 +250,20 @@ def bounded_lipschitz_distance(mu, nu):
 
     Solves the defining linear program on the union support with the HiGHS
     solver. Its variables are the test-function values phi, their sup bound
-    a and their Lipschitz bound L; its rows are |phi_i| <= a for every atom,
-    a + L <= 1, and slope rows phi_p - phi_q <= L |x_p - x_q| for atoms p
-    where mu - nu is positive and q where it is negative. No other slope
-    row can bind (see the module docstring): the clipped McShane extension
-    max(-a, min(a, min_q (phi_q + L |x - x_q|))) of a solution satisfies
-    every slope row and is at least phi on the positive atoms and at most
-    phi on the negative ones. Pairs may not be pruned by distance: two unit
+    a and their Lipschitz bound L; its constraints are a + L <= 1, slope
+    rows phi_p - phi_q <= L |x_p - x_q| for atoms p where mu - nu is
+    positive and q where it is negative, and one sign constraint per atom,
+    phi_p <= a or -phi_q <= a. No other slope row can bind (see the module
+    docstring): the clipped McShane extension max(-a, min(a, min_q (phi_q
+    + L |x - x_q|))) of a solution satisfies every slope row and is at
+    least phi on the positive atoms and at most phi on the negative ones.
+    Nor can the other sign constraint: a positive atom below -a may rise
+    to -a, which breaks no slope row and raises the objective, and a
+    negative atom mirrors it. Written in psi_i >= 0 with phi_i =
+    sign(c_i) (a - psi_i), c_i the mass of mu - nu at atom i, the sign
+    constraints are variable bounds and each slope row reads 2a - psi_p -
+    psi_q <= L |x_p - x_q|; an atom where mu and nu cancel has its psi
+    fixed at 0. Pairs may not be pruned by distance: two unit
     atoms at distance 3 are at BL distance 6/5, not 2.
 
     The slope rows are generated: the program starts with the rows from

@@ -153,7 +153,8 @@ def test_lp_keeps_only_positive_to_negative_slope_rows(lp_matrices):
     positive, negative = np.sum(c > 0), np.sum(c < 0)
     assert (k, positive, negative) == (5, 2, 2)
     (a_ub,) = lp_matrices
-    assert a_ub.shape == (positive * negative + 2 * k + 1, k + 2) == (15, 7)
+    # the slope rows and a + L <= 1; the sign bounds are variable bounds
+    assert a_ub.shape == (positive * negative + 1, k + 2) == (5, 7)
     assert got == pytest.approx(_all_pairs_bl(mu, nu), rel=1e-12)
 
 
@@ -179,9 +180,9 @@ def _random_clouds(n, size, seed):
     )
 
 
-def _slope_rows(a_ub, k):
-    # 2k box rows and the row a + L <= 1 besides the slope rows
-    return a_ub.shape[0] - 2 * k - 1
+def _slope_rows(a_ub):
+    # the row a + L <= 1 besides the slope rows
+    return a_ub.shape[0] - 1
 
 
 # Fixed-seed clouds whose start set misses binding rows, so the solver
@@ -200,11 +201,43 @@ def test_row_generation_ends_with_no_violated_row(case, lp_solves):
     pts, c = _merged_signed_difference(mu, nu)
     k = len(pts)
     x = lp_solves[-1][1].x
-    phi, lip = x[:k], x[k + 1]
+    # the documented map phi_i = sign(c_i) (a - psi_i)
+    phi, lip = np.sign(c) * (x[k] - x[:k]), x[k + 1]
     pos, neg = pts[c > 0], pts[c < 0]
     dist = np.linalg.norm(pos[:, None, :] - neg[None, :, :], axis=2)
     excess = phi[c > 0][:, None] - phi[c < 0][None, :] - lip * dist
     assert excess.max() <= 1e-12
+
+
+SIGN_ROW_CASES = {
+    **ORACLE_CASES,
+    **{f"loop-{name}": (lambda args=args: _random_clouds(*args))
+       for name, args in LOOP_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIGN_ROW_CASES))
+def test_solutions_keep_every_dropped_sign_row(case, monkeypatch):
+    # The LP keeps one sign row per atom, as a bound on psi; the phi and L
+    # of every round must still satisfy |phi_i| <= a <= 1 - L for all
+    # atoms, cancelled ones included.
+    mu, nu = SIGN_ROW_CASES[case]()
+    solutions = []
+
+    def spy(*args):
+        solution = solve(*args)
+        solutions.append(solution)
+        return solution
+
+    solve = metrics._solve_rows
+    monkeypatch.setattr(metrics, "_solve_rows", spy)
+    bounded_lipschitz_distance(mu, nu)
+    k = len(_merged_signed_difference(mu, nu)[0])
+    assert solutions
+    for phi, lip, _ in solutions:
+        assert phi.shape == (k,)
+        assert 0 <= lip <= 1
+        assert np.abs(phi).max() <= 1 - lip + 1e-12
 
 
 def test_lp_size_guard_raises_before_solving(monkeypatch, lp_solves):
@@ -212,10 +245,9 @@ def test_lp_size_guard_raises_before_solving(monkeypatch, lp_solves):
     # more raises before HiGHS sees it.
     mu, nu = _random_clouds(*LOOP_CASES["2d-50"])
     pts, c = _merged_signed_difference(mu, nu)
-    k = len(pts)
     positive, negative = int(np.sum(c > 0)), int(np.sum(c < 0))
     expected = bounded_lipschitz_distance(mu, nu)
-    sizes = [_slope_rows(a_ub, k) for a_ub, _ in lp_solves]
+    sizes = [_slope_rows(a_ub) for a_ub, _ in lp_solves]
     assert len(sizes) >= 2 and sizes == sorted(set(sizes))
 
     # each cap below a round's row count stops the solve at that round
@@ -231,12 +263,12 @@ def test_lp_size_guard_raises_before_solving(monkeypatch, lp_solves):
         assert f"{negative} negative" in message
         assert f"MAX_SLOPE_ROWS = {cap}" in message
         assert len(lp_solves) == rounds
-        assert all(_slope_rows(a_ub, k) <= cap for a_ub, _ in lp_solves)
+        assert all(_slope_rows(a_ub) <= cap for a_ub, _ in lp_solves)
 
     lp_solves.clear()
     monkeypatch.setattr(metrics, "MAX_SLOPE_ROWS", sizes[-1])
     assert bounded_lipschitz_distance(mu, nu) == expected
-    assert [_slope_rows(a_ub, k) for a_ub, _ in lp_solves] == sizes
+    assert [_slope_rows(a_ub) for a_ub, _ in lp_solves] == sizes
 
 
 def _measures(n, count):
