@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeWarning, linprog
 
-from varmcf import metrics
+from varmcf import cells, metrics
 from varmcf.discretization import Mesh, discretize
 from varmcf.geometry import Circle, Sphere
 from varmcf.metrics import (
@@ -160,12 +162,13 @@ def test_lp_keeps_only_positive_to_negative_slope_rows(lp_matrices):
 
 @pytest.fixture
 def lp_solves(monkeypatch):
-    """(constraint matrix, result) of every distance LP solved in the test."""
+    """(constraint matrix, result, options) of every distance LP solved in
+    the test."""
     captured = []
 
     def spy(c, A_ub=None, **kwargs):
         res = linprog(c, A_ub=A_ub, **kwargs)
-        captured.append((A_ub, res))
+        captured.append((A_ub, res, kwargs.get("options")))
         return res
 
     monkeypatch.setattr(metrics, "linprog", spy)
@@ -193,8 +196,14 @@ LOOP_CASES = {"2d-50": (2, 50, 3), "2d-100": (2, 100, 0), "3d-60": (3, 60, 1)}
 @pytest.mark.parametrize("case", sorted(LOOP_CASES))
 def test_row_generation_ends_with_no_violated_row(case, lp_solves):
     mu, nu = _random_clouds(*LOOP_CASES[case])
-    got = bounded_lipschitz_distance(mu, nu)
+    # a scipy that drops or renames an option warns instead of pricing as
+    # asked, so the warning fails the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", OptimizeWarning)
+        got = bounded_lipschitz_distance(mu, nu)
     assert len(lp_solves) >= 2
+    for _, _, options in lp_solves:
+        assert options["simplex_dual_edge_weight_strategy"] == "devex"
     ref = _all_pairs_bl(mu, nu)
     assert abs(got - ref) <= 1e-12 * ref
 
@@ -247,7 +256,7 @@ def test_lp_size_guard_raises_before_solving(monkeypatch, lp_solves):
     pts, c = _merged_signed_difference(mu, nu)
     positive, negative = int(np.sum(c > 0)), int(np.sum(c < 0))
     expected = bounded_lipschitz_distance(mu, nu)
-    sizes = [_slope_rows(a_ub) for a_ub, _ in lp_solves]
+    sizes = [_slope_rows(a_ub) for a_ub, *_ in lp_solves]
     assert len(sizes) >= 2 and sizes == sorted(set(sizes))
 
     # each cap below a round's row count stops the solve at that round
@@ -263,12 +272,40 @@ def test_lp_size_guard_raises_before_solving(monkeypatch, lp_solves):
         assert f"{negative} negative" in message
         assert f"MAX_SLOPE_ROWS = {cap}" in message
         assert len(lp_solves) == rounds
-        assert all(_slope_rows(a_ub) <= cap for a_ub, _ in lp_solves)
+        assert all(_slope_rows(a_ub) <= cap for a_ub, *_ in lp_solves)
 
     lp_solves.clear()
     monkeypatch.setattr(metrics, "MAX_SLOPE_ROWS", sizes[-1])
     assert bounded_lipschitz_distance(mu, nu) == expected
-    assert [_slope_rows(a_ub) for a_ub, _ in lp_solves] == sizes
+    assert [_slope_rows(a_ub) for a_ub, *_ in lp_solves] == sizes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("sizes", [
+    (300, 300),  # |P| |N| over _PAIR_BLOCK: blocks of several rows
+    (3, metrics._PAIR_BLOCK + 5),  # one row over _PAIR_BLOCK
+], ids=["row-blocks", "long-rows"])
+def test_pair_distances_round_as_squared_distances(n, sizes):
+    # One rounding of a distance: the row search's blocks equal the square
+    # root of the cell-list search's squared distances, bit for bit.
+    positive, negative = sizes
+    rng = np.random.default_rng(n)
+    pts = rng.normal(size=(positive + negative, n))
+    pos = rng.permutation(positive + negative)[:positive]
+    neg = np.setdiff1d(np.arange(positive + negative), pos)
+    blocks = list(metrics._pair_distances(pts, pos, neg))
+    assert len(blocks) > 1
+    assert [first for first, _ in blocks] == list(
+        np.cumsum([0] + [len(block) for _, block in blocks[:-1]])
+    )
+    got = np.vstack([block for _, block in blocks])
+    dist_sq = cells.squared_distances(
+        np.ascontiguousarray(pts[neg].T),
+        np.tile(np.arange(negative), positive),
+        pts[pos],
+        np.full(positive, negative),
+    )
+    np.testing.assert_array_equal(got, np.sqrt(dist_sq).reshape(got.shape))
 
 
 def _measures(n, count):
@@ -415,9 +452,17 @@ def test_sample_to_cells_distance_bounded_by_cell_diameter():
 
 def test_dimension_mismatch_rejected():
     mu = _dirac([0.0, 0.0])
-    nu = _dirac([0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="dimension"):
-        bounded_lipschitz_distance(mu, nu)
+    others = [
+        _dirac([0.0, 0.0, 0.0]),
+        AtomicMeasure.zero(3),
+        # its one atom has no mass, so the measure is empty
+        AtomicMeasure(np.zeros((1, 3)), np.zeros(1)),
+    ]
+    for other in others:
+        for pair in ((mu, other), (other, mu)):
+            with pytest.raises(ValueError,
+                               match="different ambient dimensions"):
+                bounded_lipschitz_distance(*pair)
 
 
 def test_ahlfors_circle_matches_arc_length_law():
