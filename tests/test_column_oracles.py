@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from varmcf import cells
 from varmcf.cells import CellList
-from varmcf.discretization import Mesh, discretize
+from varmcf.discretization import Mesh, _nearest_planes, discretize
 from varmcf.flow import AngenentOvalFlow
 from varmcf.geometry import Circle, Sphere, WeightedSample
 from varmcf.varifold import (
@@ -74,6 +74,9 @@ def _oracle_sphere_sample(sphere, resolution):
 
 
 def _oracle_discretize(sample, mesh, subdivisions=2):
+    """Binning by a stable sort of every point key. The planes come from
+    the same ``_nearest_planes``; tests/test_cell_planes.py checks that
+    against ``eigh``."""
     positions, projectors, weights = sample.atoms()
     d = _plane_dim(projectors)
     idx = _oracle_cell_index(mesh, positions)
@@ -92,11 +95,9 @@ def _oracle_discretize(sample, mesh, subdivisions=2):
     mean_proj = proj_sum[keep] / cell_mass[:, None, None]
     mean_proj = 0.5 * (mean_proj + np.swapaxes(mean_proj, -1, -2))
     cell_idx = np.take(idx, order[starts][keep], axis=0)
-    _, vecs = np.linalg.eigh(mean_proj)
-    top = vecs[..., -d:]
-    cell_proj = np.einsum("kia,kja->kij", top, top)
     return VolumetricVarifold(
-        mesh, cell_idx, cell_mass, cell_proj, subdivisions=subdivisions
+        mesh, cell_idx, cell_mass, _nearest_planes(mean_proj, d),
+        subdivisions=subdivisions,
     )
 
 

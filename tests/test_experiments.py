@@ -139,8 +139,11 @@ def test_distance_check_stays_within_transfer_bound(tmp_path):
     assert "within_bound = yes" in (out / "summary.txt").read_text()
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    cfg = ExperimentConfig.load(_write(tmp_path, DISTANCE_CONFIG))
+@pytest.mark.parametrize("text", [
+    DISTANCE_CONFIG, BRAKKE_CONFIG.format(extra="edge = 0.05"),
+], ids=["distance-check", "brakke-residual"])
+def test_rerun_is_byte_identical(tmp_path, text):
+    cfg = ExperimentConfig.load(_write(tmp_path, text))
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(cfg, out1) == 0
     assert run(cfg, out2) == 0
