@@ -64,9 +64,13 @@ class RadialBump:
     """
 
     def __init__(self, center, inner_radius, outer_radius):
-        center = np.asarray(center, dtype=float)
+        # a read-only copy, so that the caller's array cannot move it
+        center = np.array(center, dtype=float)
         if center.ndim != 1 or len(center) == 0:
             raise ValueError("center must be a point, shape (n,)")
+        if not np.all(np.isfinite(center)):
+            raise ValueError("center must be finite")
+        center.flags.writeable = False
         inner_radius = float(inner_radius)
         outer_radius = float(outer_radius)
         if not 0.0 <= inner_radius < outer_radius:

@@ -81,38 +81,64 @@ class Mesh:
         lies farther outside or is not finite. Works axis by axis on
         (..., n) points and returns (...) int64 keys; the grid coordinates
         are ``np.unravel_index(keys, mesh.counts)``.
+
+        Each axis makes one pass into a quotient buffer
+        ``(x_k - origin_k) / edge``, reused across axes. Subtracting and
+        dividing round monotonically, so a quotient above that of the
+        slack face ``origin_k - 1e-9 edge`` belongs to a coordinate above
+        it, and likewise at the far slack face: the box test reads the
+        buffer's ``min`` and ``max``. Only a quotient that fails it or ties
+        a face's (and nan, which fails every comparison) sends all points
+        through the per-point test on the coordinates, which counts the bad
+        ones. Past the test every quotient exceeds -1, so the cast, which
+        truncates, equals ``floor`` clipped at 0; quotients on or beyond the
+        far face are clipped to the last cell.
         """
         points = np.asarray(points, dtype=float)
         if points.shape[-1:] != (self.n,):
             raise ValueError(f"points must have dimension {self.n}")
         if self.num_cells() > np.iinfo(np.int64).max:
             raise ValueError(f"{self.num_cells()} cells overflow int64 keys")
+        flat = points.reshape(-1, self.n)
+        keys = np.empty(len(flat), dtype=np.int64)
+        if len(flat) == 0:
+            return keys.reshape(points.shape[:-1])
         slack = 1e-9 * self.edge
         lo, hi = self.origin - slack, self.upper + slack
-        flat = points.reshape(-1, self.n)
-        columns = [flat[:, k] for k in range(self.n)]
-        # min and max are nan if any entry is, which fails the comparison
-        if not all(col.size == 0 or (np.min(col) >= lo[k]
-                                     and np.max(col) <= hi[k])
-                   for k, col in enumerate(columns)):
-            inside = np.ones(len(columns[0]), dtype=bool)
-            for k, col in enumerate(columns):
-                inside &= col >= lo[k]
-                inside &= col <= hi[k]
-            bad = int(np.sum(~inside))
-            raise ValueError(f"{bad} point(s) lie outside the mesh box")
-        keys = np.zeros(len(flat), dtype=np.int64)
-        for k, col in enumerate(columns):
-            cell = np.subtract(col, self.origin[k])
-            cell /= self.edge
-            cell = np.floor(cell, out=cell).astype(np.int64)
-            np.clip(cell, 0, self.counts[k] - 1, out=cell)
-            keys *= self.counts[k]
-            keys += cell
+        # the slack faces as quotients, rounded as the points' are
+        q_lo = (lo - self.origin) / self.edge
+        q_hi = (hi - self.origin) / self.edge
+        quot = np.empty(len(flat))
+        cell = keys  # the first axis is cast straight into the keys
+        for k in range(self.n):
+            np.subtract(flat[:, k], self.origin[k], out=quot)
+            quot /= self.edge
+            q_max = np.max(quot)
+            if not (np.min(quot) > q_lo[k] and q_max < q_hi[k]):
+                _check_box(flat, lo, hi)
+            if k == 1:
+                cell = np.empty(len(flat), dtype=np.int64)
+            np.copyto(cell, quot, casting="unsafe")
+            if q_max >= self.counts[k]:
+                np.minimum(cell, self.counts[k] - 1, out=cell)
+            if k:
+                keys *= self.counts[k]
+                keys += cell
         return keys.reshape(points.shape[:-1])
 
     def cell_center(self, indices):
         return self.origin + (np.asarray(indices) + 0.5) * self.edge
+
+
+def _check_box(flat, lo, hi):
+    """Raise if any of the (N, n) points lies outside [lo, hi]; nan does."""
+    inside = np.ones(len(flat), dtype=bool)
+    for k in range(flat.shape[1]):
+        inside &= flat[:, k] >= lo[k]
+        inside &= flat[:, k] <= hi[k]
+    bad = int(np.sum(~inside))
+    if bad:
+        raise ValueError(f"{bad} point(s) lie outside the mesh box")
 
 
 def discretize(sample, mesh, subdivisions=2):

@@ -138,6 +138,20 @@ def test_bump_rejects_points_of_another_dimension():
         RadialBump([[0.0, 0.0]], 0.2, 1.4)
 
 
+def test_bump_copies_and_checks_its_center():
+    # mutating the caller's array must not move the bump, and a non-finite
+    # centre would make phi nan everywhere
+    c = np.array([0.3, 0.0])
+    bump = RadialBump(c, 0.2, 1.4)
+    c[:] = 10.0
+    np.testing.assert_array_equal(bump.center, [0.3, 0.0])
+    assert bump(np.array([[0.3, 0.0]]))[0] == 1.0
+    assert not bump.center.flags.writeable
+    for bad in ([np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(ValueError, match="center must be finite"):
+            RadialBump(bad, 0.2, 1.4)
+
+
 def test_vector_fields_and_jacobians():
     pts = np.array([[0.1, 0.2], [0.5, -0.3]])
     const = ConstantVectorField([1.0, -2.0])

@@ -16,7 +16,7 @@ from varmcf import cells
 from varmcf.cells import CellList
 from varmcf.discretization import Mesh, _nearest_planes, discretize
 from varmcf.flow import AngenentOvalFlow
-from varmcf.geometry import Circle, Sphere, WeightedSample
+from varmcf.geometry import AngenentOval, Circle, Sphere, WeightedSample
 from varmcf.varifold import (
     VolumetricVarifold,
     _plane_dim,
@@ -56,6 +56,17 @@ def _oracle_circle_sample(circle, resolution):
     pts = circle.center + circle.radius * np.stack([cos, sin], axis=1)
     t = np.stack([-sin, cos], axis=1)
     return pts, t[:, :, None] * t[:, None, :]
+
+
+def _oracle_oval_sample(oval, resolution):
+    theta = 2.0 * np.pi * np.arange(resolution) / resolution
+    cos, sin = np.cos(theta), np.sin(theta)
+    root = np.sqrt(oval.m)
+    pts = np.stack([np.arcsin(root * cos), np.arcsinh(root * sin / oval.a)],
+                   axis=1)
+    t = np.stack([-sin, cos], axis=1)
+    kappa = np.sqrt(1.0 - oval.m * cos * cos) / root
+    return pts, t[:, :, None] * t[:, None, :], 2.0 * np.pi / resolution / kappa
 
 
 def _oracle_sphere_sample(sphere, resolution):
@@ -177,6 +188,45 @@ def test_cell_index_matches_broadcast_formula(n, seed, kinds):
         assert _same_bits(actual, expected)
 
 
+def _batch(points):
+    return points.reshape(2, 3, -1)
+
+
+def _fortran(points):
+    return np.asfortranarray(points)
+
+
+def _strided(points):
+    # every other row and column of an interleaved copy
+    spread = np.zeros((2 * len(points), 2 * points.shape[1]))
+    spread[::2, ::2] = points
+    return spread[::2, ::2]
+
+
+@pytest.mark.parametrize("layout", [_batch, _fortran, _strided])
+@pytest.mark.parametrize("n", [2, 3])
+def test_cell_keys_of_any_layout_match_broadcast_formula(layout, n):
+    # (..., n) points in a batch, in Fortran order or as a strided view:
+    # interior points, points on the faces, within the slack outside them
+    # and on the slack faces themselves, whose quotients tie the box
+    # test's; then the same with one point beyond the slack
+    rng = np.random.default_rng(n)
+    lo = rng.uniform(-1.0, 1.0, size=n)
+    hi = lo + rng.uniform(0.3, 2.0, size=n)
+    mesh = Mesh(lo, hi, 0.07)
+    slack = 1e-9 * mesh.edge
+    points = rng.uniform(lo, hi, size=(6, n))
+    points[0], points[1] = lo - 0.5 * slack, hi + 0.5 * slack
+    points[2], points[3] = lo - slack, hi + slack
+    points[4, 0], points[4, -1] = hi[0], lo[-1]
+    keys = mesh.cell_keys(layout(points))
+    assert keys.shape == layout(points).shape[:-1]
+    assert _same_bits(keys, _oracle_cell_keys(mesh, layout(points)))
+    points[5, 0] = hi[0] + 2 * slack
+    assert _outcome(mesh.cell_keys, layout(points)) == (
+        ValueError, "1 point(s) lie outside the mesh box")
+
+
 @pytest.mark.parametrize("resolution", [8, 9, 257, 32768])
 @pytest.mark.parametrize("radius, center", [
     (1.0, (0.0, 0.0)), (0.37, (-0.02, 1e-3)), (2.5, (1e6, -3.0)),
@@ -187,6 +237,18 @@ def test_circle_sample_matches_broadcast_formula(resolution, radius, center):
     pts, proj = _oracle_circle_sample(circle, resolution)
     assert _same_bits(sample.positions, pts)
     assert _same_bits(sample.projectors, proj)
+
+
+@pytest.mark.parametrize("resolution", [8, 9, 257, 32768])
+@pytest.mark.parametrize("t", [-0.05, -0.7, -3.0])
+def test_oval_sample_matches_broadcast_formula(resolution, t):
+    # the Angenent oval samples on the same _angle_grid as the circle
+    oval = AngenentOval(t)
+    sample = oval.sample(resolution)
+    pts, proj, w = _oracle_oval_sample(oval, resolution)
+    assert _same_bits(sample.positions, pts)
+    assert _same_bits(sample.projectors, proj)
+    assert _same_bits(sample.weights, w)
 
 
 @pytest.mark.parametrize("resolution", [8, 9, 33, 128])
