@@ -38,9 +38,9 @@ print(f"unit atoms at distance 3: {bounded_lipschitz_distance(mu, far):.9f}"
 # sampled circle vs its binned version: distance below h * mass
 circle = Circle()
 sample = circle.sample(256)
-vol = discretize(sample, Mesh(*circle.bounding_box(0.05), 0.1))
+vol = discretize(sample, Mesh(*circle.bounding_box(0.05), 0.1), subdivisions=1)
 d = bounded_lipschitz_distance(
-    atomize(SampledManifoldVarifold(sample)), atomize(vol, subdivisions=1)
+    atomize(SampledManifoldVarifold(sample)), atomize(vol)
 )
 print(f"sampled vs binned circle: {d:.6f} "
       f"(bound {vol.h * vol.mass_total():.6f})")

@@ -12,7 +12,7 @@ from varmcf import (
     Circle,
     SampledManifoldVarifold,
     ShrinkingCircle,
-    ahlfors_estimate,
+    ahlfors_scan,
     constants_ledger,
     default_kernel_pair,
     gamma_feasible,
@@ -26,7 +26,8 @@ circle = Circle()
 pair = default_kernel_pair(2, 1)
 
 v = SampledManifoldVarifold.from_shape(circle, 4096)
-c0 = ahlfors_estimate(v, 1, [0.1, 0.25, 0.5, 1.0])
+# the largest two-sided ball-mass ratio over the scan
+c0 = max(row[3] for row in ahlfors_scan(v, 1, [0.1, 0.25, 0.5, 1.0]))
 c1, _ = measure_curvature_consistency(
     circle, 4096, pair, [0.4, 0.2, 0.1, 0.05]
 )

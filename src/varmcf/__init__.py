@@ -53,7 +53,6 @@ from .kernels import (  # noqa: F401
 )
 from .metrics import (  # noqa: F401
     AtomicMeasure,
-    ahlfors_estimate,
     ahlfors_scan,
     atomize,
     bounded_lipschitz_distance,

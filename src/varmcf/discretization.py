@@ -39,6 +39,8 @@ class Mesh:
         hi = np.ascontiguousarray(hi, dtype=float)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValueError("lo and hi must be vectors of equal length")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("lo and hi must be finite")
         if np.any(hi <= lo):
             raise ValueError("box must have positive extent on every axis")
         edge = float(edge)
@@ -54,12 +56,6 @@ class Mesh:
         self.counts = counts
         for arr in (self.origin, self.upper, self.counts):
             arr.flags.writeable = False
-
-    @classmethod
-    def covering(cls, points, edge, pad=0.0):
-        """Mesh over the bounding box of a point set, inflated by ``pad``."""
-        points = np.asarray(points, dtype=float)
-        return cls(points.min(axis=0) - pad, points.max(axis=0) + pad, edge)
 
     @property
     def n(self):

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .geometry import AngenentOval, Circle, Sphere
+from .geometry import AngenentOval, Circle, Sphere, _center
 
 __all__ = [
     "ShrinkingCircle",
@@ -39,10 +39,10 @@ class _Shrinker(_Flow):
 
     def __init__(self, radius, center=None):
         radius = float(radius)
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         self.initial_radius = radius
-        self.center = center
+        self.center = None if center is None else _center(center, self.d + 1)
 
     @property
     def extinction_time(self):
@@ -88,8 +88,8 @@ class AngenentOvalFlow(_Flow):
 
     def __init__(self, t0):
         t0 = float(t0)
-        if not t0 < 0:
-            raise ValueError("t0 must be negative")
+        if not -math.inf < t0 < 0:
+            raise ValueError("t0 must be negative and finite")
         self.t0 = t0
 
     @property

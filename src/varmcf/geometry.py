@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .varifold import _no_cells, _WeightedAtoms
+from .varifold import _WeightedAtoms
 
 __all__ = [
     "WeightedSample",
@@ -63,9 +63,8 @@ class WeightedSample(_WeightedAtoms):
     def __len__(self):
         return len(self.positions)
 
-    def atoms(self, subdivisions=None):
+    def atoms(self):
         """The stored (positions, projectors, weights), without a copy."""
-        _no_cells(subdivisions)
         return self.positions, self.projectors, self.weights
 
     total_weight = _WeightedAtoms.mass_total
@@ -174,10 +173,12 @@ def _angle_grid(resolution):
 
 
 def _center(center, n):
-    """A read-only copy of ``center``, checked to be a point of R^n."""
+    """A read-only copy of ``center``, checked to be a finite point of R^n."""
     center = np.array(center, dtype=float)
     if center.shape != (n,):
         raise ValueError(f"center must be a point in R^{n}")
+    if not np.all(np.isfinite(center)):
+        raise ValueError("center must be finite")
     center.flags.writeable = False
     return center
 
@@ -189,8 +190,8 @@ class Circle(AnalyticShape):
     n = 2
 
     def __init__(self, radius=1.0, center=(0.0, 0.0)):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < radius < np.inf:
+            raise ValueError("radius must be positive and finite")
         self.radius = float(radius)
         self.center = _center(center, 2)
 
@@ -227,8 +228,8 @@ class Ellipse(AnalyticShape):
     n = 2
 
     def __init__(self, a, b, center=(0.0, 0.0)):
-        if a <= 0 or b <= 0:
-            raise ValueError("semi-axes must be positive")
+        if not (0 < a < np.inf and 0 < b < np.inf):
+            raise ValueError("semi-axes must be positive and finite")
         self.a = float(a)
         self.b = float(b)
         self.center = _center(center, 2)
@@ -292,8 +293,8 @@ class AngenentOval(AnalyticShape):
 
     def __init__(self, t):
         t = float(t)
-        if not t < 0:
-            raise ValueError("the Angenent oval needs t < 0")
+        if not -np.inf < t < 0:
+            raise ValueError("the Angenent oval needs a finite t < 0")
         self.t = t
         self.a = np.exp(t)
         self.m = -np.expm1(2.0 * t)
@@ -338,8 +339,8 @@ class Sphere(AnalyticShape):
     n = 3
 
     def __init__(self, radius=1.0, center=(0.0, 0.0, 0.0)):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < radius < np.inf:
+            raise ValueError("radius must be positive and finite")
         self.radius = float(radius)
         self.center = _center(center, 3)
 
@@ -401,8 +402,8 @@ class Torus(AnalyticShape):
 
     def __init__(self, major_radius=2.0, minor_radius=0.5,
                  center=(0.0, 0.0, 0.0)):
-        if not 0 < minor_radius < major_radius:
-            raise ValueError("need 0 < minor_radius < major_radius")
+        if not 0 < minor_radius < major_radius < np.inf:
+            raise ValueError("need 0 < minor_radius < major_radius < inf")
         self.major_radius = float(major_radius)
         self.minor_radius = float(minor_radius)
         self.center = _center(center, 3)

@@ -31,7 +31,7 @@ __all__ = [
     "make_kernel_pair",
 ]
 
-# Dense grid used for sup norms, positivity checks, and beta.
+# Dense grid used for sup norms and beta.
 _GRID_SIZE = 4096
 _GRID = np.linspace(0.0, 1.0, _GRID_SIZE)
 
@@ -142,11 +142,10 @@ class KernelPair:
 
     Parameters
     ----------
-    rho : profile
-        First-variation profile; needs value, derivative, second_derivative,
-        moment and scaled.
-    xi : profile
-        Mass profile; needs value, derivative, moment and scaled.
+    rho : PolynomialProfile
+        First-variation profile c q^a (1 - q)^b, q = r^2.
+    xi : PolynomialProfile
+        Mass profile.
     n : int
         Ambient dimension.
     d : int
@@ -154,55 +153,40 @@ class KernelPair:
 
     Raises
     ------
+    TypeError
+        If either profile is not a PolynomialProfile.
     ValueError
-        If either profile is negative on [0, 1], fails to vanish smoothly
-        at 1, xi is not positive inside (0, 1), or rho'(0) != 0 (the
-        gradient of the scaled kernel would be discontinuous at the origin).
+        If a constant c is not positive and finite, or rho is not C^2
+        (b >= 3) or xi not C^1 (b >= 2) across r = 1. A function of
+        q = r^2 always has rho'(0) = 0.
+
+    The pair is natural (xi proportional to -r rho'(r) / n; scale drops
+    out of the curvature quotient) iff rho = c (1 - q)^k and
+    xi = c' q (1 - q)^(k-1).
     """
 
     def __init__(self, rho, xi, n, d):
+        if not (isinstance(rho, PolynomialProfile)
+                and isinstance(xi, PolynomialProfile)):
+            raise TypeError("KernelPair takes PolynomialProfile profiles")
         self.rho = rho
         self.xi = xi
         self.n = int(n)
         self.d = int(d)
         if not 1 <= self.d < self.n:
             raise ValueError("need 1 <= d < n")
-        self._validate()
+        if not (0 < rho.c < math.inf and 0 < xi.c < math.inf):
+            raise ValueError("profiles need a positive finite constant c")
+        if rho.b < 3:
+            raise ValueError("rho must be C^2 across the support boundary")
+        if xi.b < 2:
+            raise ValueError("xi must be C^1 across the support boundary")
+        self.natural = rho.a == 0 and (xi.a, xi.b) == (1, rho.b - 1)
         self.c_rho = float(rho.moment(self.d))
         self.c_xi = float(xi.moment(self.d))
-        rp = np.abs(rho.derivative(_GRID))
-        rpp = np.abs(rho.second_derivative(_GRID))
-        xp = np.abs(xi.derivative(_GRID))
-        self.sup_rho_deriv = float(rp.max())
-        self.sup_rho_second = float(rpp.max())
-        self.sup_xi_deriv = float(xp.max())
-        # Natural up to scale: xi proportional to -r rho'(r) / n. Scale drops
-        # out of the curvature quotient, so proportionality is what matters.
-        u = xi(_GRID)
-        v = -_GRID * rho.derivative(_GRID) / self.n
-        lam = float(v @ u) / float(u @ u)
-        self.natural = bool(
-            np.max(np.abs(v - lam * u)) <= 1e-12 * max(1.0, float(np.abs(v).max()))
-        )
-
-    def _validate(self):
-        rv = self.rho(_GRID)
-        xv = self.xi(_GRID)
-        if np.any(rv < 0) or np.any(xv < 0):
-            raise ValueError("profiles must be nonnegative on [0, 1]")
-        if np.any(xv[1:-1] <= 0):
-            raise ValueError("xi must be positive on the open interval (0, 1)")
-        # Smooth vanishing at the support boundary keeps the pair C^2/C^1.
-        edge = 1.0 - 1e-9
-        if abs(float(self.rho(edge))) > 1e-6 or abs(float(self.xi(edge))) > 1e-6:
-            raise ValueError("profiles must vanish at r = 1")
-        near = 1.0 - 1e-6
-        if abs(float(self.rho.second_derivative(near))) > 1e-2:
-            raise ValueError("rho must be C^2 across the support boundary")
-        if abs(float(self.xi.derivative(near))) > 1e-2:
-            raise ValueError("xi must be C^1 across the support boundary")
-        if abs(float(self.rho.derivative(0.0))) > 1e-12:
-            raise ValueError("rho'(0) must vanish")
+        self.sup_rho_deriv = float(np.abs(rho.derivative(_GRID)).max())
+        self.sup_rho_second = float(np.abs(rho.second_derivative(_GRID)).max())
+        self.sup_xi_deriv = float(np.abs(xi.derivative(_GRID)).max())
 
     @property
     def lip_xi(self):

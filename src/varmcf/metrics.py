@@ -57,7 +57,6 @@ __all__ = [
     "AtomicMeasure",
     "atomize",
     "bounded_lipschitz_distance",
-    "ahlfors_estimate",
     "ahlfors_scan",
 ]
 
@@ -121,11 +120,8 @@ class AtomicMeasure:
     def __len__(self):
         return len(self.masses)
 
-    def total_mass(self):
-        return float(np.sum(self.masses))
 
-
-def atomize(obj, subdivisions=None):
+def atomize(obj):
     """Spatial mass measure of a varifold (or sample) as an atomic measure.
 
     ``obj`` is an ``AtomicMeasure`` (returned as is) or any set with
@@ -136,7 +132,7 @@ def atomize(obj, subdivisions=None):
     """
     if isinstance(obj, AtomicMeasure):
         return obj
-    return AtomicMeasure(*obj.mass_atoms(subdivisions))
+    return AtomicMeasure(*obj.mass_atoms())
 
 
 def _merged_signed_difference(mu, nu):
@@ -373,9 +369,3 @@ def ahlfors_scan(obj, d, radii, max_probes=64):
             ratio = max(ball / scale, scale / ball)
             rows.append((probes[p], float(r), ball, float(ratio)))
     return rows
-
-
-def ahlfors_estimate(obj, d, radii, max_probes=64):
-    """Largest two-sided ball-mass ratio: an empirical regularity constant."""
-    rows = ahlfors_scan(obj, d, radii, max_probes=max_probes)
-    return max(row[3] for row in rows)

@@ -59,18 +59,13 @@ def _row_steps(rows):
     return np.sign(np.diff(rows, axis=0)) @ (1 << np.arange(n - 1, -1, -1))
 
 
-def _no_cells(subdivisions):
-    if subdivisions is not None:
-        raise ValueError("an atomic set has no cells to subdivide")
-
-
 class _WeightedAtoms:
     """The varifold integrals of a set given by ``atoms()``.
 
-    ``atoms(subdivisions=None)`` returns read-only (positions, projectors,
-    masses) of shapes (N, n), (N, n, n) and (N,); every integral is a
-    mass-weighted sum over these atoms. ``mass_atoms`` gives the positions
-    and masses alone, for integrals that do not read the planes.
+    ``atoms()`` returns read-only (positions, projectors, masses) of shapes
+    (N, n), (N, n, n) and (N,); every integral is a mass-weighted sum over
+    these atoms. ``mass_atoms`` gives the positions and masses alone, for
+    integrals that do not read the planes.
 
     The varifolds keep derived arrays (quadrature nodes, atoms, and the
     curvature engine's cell lists with masses and projector columns in
@@ -81,9 +76,9 @@ class _WeightedAtoms:
 
     __slots__ = ()
 
-    def mass_atoms(self, subdivisions=None):
-        """The (positions, masses) of ``atoms(subdivisions)``."""
-        pts, _, masses = self.atoms(subdivisions)
+    def mass_atoms(self):
+        """The (positions, masses) of ``atoms()``."""
+        pts, _, masses = self.atoms()
         return pts, masses
 
     def mass_total(self):
@@ -162,9 +157,8 @@ class _AtomicVarifold(_WeightedAtoms):
     def __len__(self):
         return len(self.masses)
 
-    def atoms(self, subdivisions=None):
+    def atoms(self):
         """The stored (positions, projectors, masses), without a copy."""
-        _no_cells(subdivisions)
         return self.positions, self.projectors, self.masses
 
 
@@ -311,26 +305,26 @@ class VolumetricVarifold(_WeightedAtoms):
         ok &= np.all(self._node(cell, sub, s) == points, axis=1)
         return ok, cell, sub
 
-    def mass_atoms(self, subdivisions=None):
-        """The nodes and masses of ``atoms(subdivisions)``, without its
-        per-node projectors: each node carries 1 / s^n of its cell's mass.
-        Only the nodes are cached."""
-        pts, _ = self.quadrature_points(subdivisions)
+    def mass_atoms(self):
+        """The nodes and masses of ``atoms()``, without its per-node
+        projectors: each node carries 1 / s^n of its cell's mass. Only the
+        nodes are cached."""
+        pts, _ = self.quadrature_points()
         per_cell = len(pts) // len(self)
         return pts, np.repeat(self.masses / per_cell, per_cell)
 
-    def atoms(self, subdivisions=None):
+    def atoms(self):
         """The varifold as weighted atoms, one per subcell quadrature node.
 
         Returns read-only (points, projectors, masses) of shapes
-        (M * s^n, n), (M * s^n, n, n) and (M * s^n,): each node carries its
-        cell's plane and an equal share 1 / s^n of its cell's mass. Cached
-        per subdivision count.
+        (M * s^n, n), (M * s^n, n, n) and (M * s^n,) with s the varifold's
+        ``subdivisions``: each node carries its cell's plane and an equal
+        share 1 / s^n of its cell's mass. Cached.
         """
-        s = self.subdivisions if subdivisions is None else int(subdivisions)
+        s = self.subdivisions
         key = ("atoms", s)
         if key not in self._caches:
-            pts, masses = self.mass_atoms(s)
+            pts, masses = self.mass_atoms()
             proj = np.repeat(self.projectors, s**self.n, axis=0)
             for arr in (proj, masses):
                 arr.flags.writeable = False

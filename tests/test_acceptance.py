@@ -34,7 +34,7 @@ from varmcf.kernels import (
 )
 from varmcf.metrics import (
     AtomicMeasure,
-    ahlfors_estimate,
+    ahlfors_scan,
     atomize,
     bounded_lipschitz_distance,
 )
@@ -58,9 +58,8 @@ def _fitted_c1():
 def _measured_c0():
     if "c0" not in _SHARED:
         v = SampledManifoldVarifold.from_shape(Circle(), 4096)
-        _SHARED["c0"] = ahlfors_estimate(
-            v, 1, [0.1, 0.25, 0.5, 1.0], max_probes=64
-        )
+        rows = ahlfors_scan(v, 1, [0.1, 0.25, 0.5, 1.0], max_probes=64)
+        _SHARED["c0"] = max(row[3] for row in rows)
     return _SHARED["c0"]
 
 
@@ -188,10 +187,11 @@ def test_criterion_04_bounded_lipschitz_distance(capsys):
     circle = Circle()
     sample = circle.sample(256)
     vol = discretize(
-        sample, Mesh(*circle.bounding_box(margin=0.05), 0.1 / np.sqrt(2.0))
+        sample, Mesh(*circle.bounding_box(margin=0.05), 0.1 / np.sqrt(2.0)),
+        subdivisions=1,
     )
     mu = atomize(SampledManifoldVarifold(sample))
-    nu = atomize(vol, subdivisions=1)
+    nu = atomize(vol)
     atoms = len(mu) + len(nu)
     dist = bounded_lipschitz_distance(mu, nu)
     bound = 0.1 * 2.0 * np.pi
@@ -265,9 +265,8 @@ def test_criterion_07_ahlfors_regularity(capsys):
     t0 = time.perf_counter()
     circle_est = _measured_c0()
     sphere = SampledManifoldVarifold.from_shape(Sphere(), 128)
-    sphere_est = ahlfors_estimate(
-        sphere, 2, [0.25, 0.5, 1.0], max_probes=16
-    )
+    rows = ahlfors_scan(sphere, 2, [0.25, 0.5, 1.0], max_probes=16)
+    sphere_est = max(row[3] for row in rows)
     ok = 2.0 <= circle_est <= 2.2 and np.isfinite(sphere_est) \
         and sphere_est <= 3.3
     _verdict(

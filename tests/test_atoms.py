@@ -76,8 +76,10 @@ def test_atoms_contract(make):
         assert pts is obj.positions
         assert proj is obj.projectors
         assert masses is stored
-        with pytest.raises(ValueError, match="no cells"):
-            obj.atoms(2)
+    # one quadrature per set: there is no per-call subdivision count
+    for call in (obj.atoms, obj.mass_atoms, lambda s: atomize(obj, s)):
+        with pytest.raises(TypeError):
+            call(2)
 
     measure = atomize(obj)
     assert np.array_equal(measure.positions, pts)
@@ -153,7 +155,7 @@ def test_mass_integrals_expand_nodes_without_projector_copies():
     vol = discretize(_SAMPLE, _MESH, subdivisions=3)
     measure = atomize(vol)
     total, applied = vol.mass_total(), vol.mass_apply(_phi)
-    assert atomize(vol, 2).masses.shape == (4 * len(vol),)
+    assert measure.masses.shape == (9 * len(vol),)
     assert not [key for key in vol._caches if key[0] == "atoms"]
     pts, _, masses = vol.atoms()
     assert measure.positions.tobytes() == pts.tobytes()

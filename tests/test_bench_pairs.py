@@ -64,6 +64,35 @@ def test_bound_allows_the_declared_fraction_worse(factor, holds):
     assert bench_pairs.bound_verdict(comparison, 0.25)["holds"] is holds
 
 
+# BENCH_25.json's residual-circle setup_s parent runs: an IQR of 0.0528 s
+# against a median of 0.1586 s, a third of it
+SETUP_PARENT = [0.153668, 0.175645, 0.139717, 0.20686, 0.208333, 0.163453,
+                0.241379, 0.146346, 0.127509, 0.146179]
+
+
+@pytest.mark.parametrize("change, resolved", [
+    ([v * 1.05 for v in SETUP_PARENT], False),
+    ([v * 0.95 for v in SETUP_PARENT], False),
+    # every change run below every parent run
+    ([0.12 - 0.001 * i for i in range(10)], True),
+])
+def test_bound_is_unresolved_when_the_parent_spread_exceeds_it(change,
+                                                               resolved):
+    comparison = bench_pairs.compare(SETUP_PARENT, change)
+    verdict = bench_pairs.bound_verdict(comparison, 0.25)
+    assert verdict["holds"]
+    assert verdict["resolved"] is resolved
+    # a spread within the bound resolves it
+    assert bench_pairs.bound_verdict(comparison, 0.34)["resolved"]
+
+
+BENCHMARK = {"end_to_end": [
+    {"name": "setup_s", "better": "lower", "bound": 0.25},
+    {"name": "op_scaled_s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mib", "better": "lower", "bound": 0.1},
+]}
+
+
 def _run(setup, op, rss, attempted=100, failed=0):
     values = {"setup_s": setup, "op_scaled_s": op, "peak_rss_mib": rss}
     return {"correct": failed == 0, "attempted": attempted, "failed": failed,
@@ -71,18 +100,13 @@ def _run(setup, op, rss, attempted=100, failed=0):
 
 
 def test_summarize_applies_claims_bounds_and_fail_ratios():
-    spec = {"end_to_end": [
-        {"name": "setup_s", "better": "lower", "bound": 0.25},
-        {"name": "op_scaled_s", "better": "lower", "bound": 0.25},
-        {"name": "peak_rss_mib", "better": "lower", "bound": 0.1},
-    ]}
     records = {"w": {
         "parent": [_run(0.2, 1.0, 80.0), _run(0.2, 1.1, 80.0)],
         # a third change run without its parent run is left out
         "change": [_run(0.2, 0.5, 90.0), _run(0.2, 0.6, 90.0, failed=1),
                    _run(9.0, 9.0, 9.0)],
     }}
-    workloads, verdicts = bench_pairs.summarize(records, spec,
+    workloads, verdicts = bench_pairs.summarize(records, BENCHMARK,
                                                 {("w", "op_scaled_s")})
     entry = workloads["w"]
     assert entry["pairs"] == 2
@@ -94,6 +118,16 @@ def test_summarize_applies_claims_bounds_and_fail_ratios():
     assert by_metric["setup_s"]["holds"]
     assert not by_metric["peak_rss_mib"]["holds"]  # 12.5% over a 10% bound
     assert not by_metric["fail_ratio"]["holds"]
+    assert bench_pairs.unresolved(verdicts) == []
+
+
+def test_unresolved_lists_the_workload_metric_pairs():
+    parent = [_run(s, 1.0, 80.0) for s in SETUP_PARENT]
+    change = [_run(s, 1.0, 80.0) for s in SETUP_PARENT]
+    records = {"residual-circle": {"parent": parent, "change": change}}
+    _, verdicts = bench_pairs.summarize(records, BENCHMARK, set())
+    assert bench_pairs.unresolved(verdicts) == [
+        ["residual-circle", "setup_s"]]
 
 
 def test_pairs_alternate_which_side_runs_first():

@@ -211,9 +211,10 @@ def _volumetric_sphere_case(s, edge):
     are also the varifold's own quadrature nodes (s_p = 2)."""
     eps = 0.3
     sample = Sphere(1.0).sample(64)
-    vol = discretize(sample, Mesh.covering(sample.positions, edge, pad=0.1))
+    pts = sample.positions
+    vol = discretize(sample, Mesh(pts.min(0) - 0.1, pts.max(0) + 0.1, edge))
     assert max(2, math.ceil(4.0 * vol.h / eps)) == s
-    nodes = vol.atoms(s)[0]
+    nodes = vol.quadrature_points(s)[0]
     probes = np.vstack([
         Sphere(1.0).sample(8).positions[::8],
         nodes[:: len(nodes) // 3][:3],
@@ -494,7 +495,8 @@ def _own_node_sphere_case(subdivisions, edge):
     """Volumetric sphere at eps 0.3 probed at 12 of its own quadrature
     nodes (s_p = subdivisions); the edge sets the atoms' s_a."""
     sample = Sphere(1.0).sample(64)
-    mesh = Mesh.covering(sample.positions, edge, pad=0.1)
+    pts = sample.positions
+    mesh = Mesh(pts.min(0) - 0.1, pts.max(0) + 0.1, edge)
     vol = discretize(sample, mesh, subdivisions=subdivisions)
     nodes = vol.atoms()[0]
     return vol, default_kernel_pair(3, 2), 0.3, nodes[:: len(nodes) // 12][:12]
@@ -772,7 +774,7 @@ def _corner_case_pythagorean():
     # atom, exactly 5/8 = eps away, and 0.6688 from the cell centre, beyond
     # eps but within eps + h / 4.
     vol = _single_cell(2)
-    atom = vol.atoms(2)[0][-1]
+    atom = vol.quadrature_points(2)[0][-1]
     return vol, 0.625, atom + np.array([0.375, 0.5])
 
 
@@ -782,7 +784,7 @@ def _corner_case_diagonal():
     # rounding, which here falls above that radius.
     vol = _single_cell(3)
     eps = 0.4
-    return vol, eps, vol.atoms(3)[0][0] - eps / math.sqrt(3)
+    return vol, eps, vol.quadrature_points(3)[0][0] - eps / math.sqrt(3)
 
 
 @pytest.mark.parametrize(

@@ -66,6 +66,18 @@ def test_discretize_bins_far_face_and_slack_points_to_edge_cells():
     np.testing.assert_array_equal(vol.masses, [3.0, 2.0, 1.0])
 
 
+@pytest.mark.parametrize("lo, hi", [
+    ([0.0, 0.0], [1.0, np.inf]),
+    ([-np.inf, 0.0], [1.0, 1.0]),
+    ([0.0, np.nan], [1.0, 1.0]),
+])
+def test_mesh_rejects_non_finite_box(lo, hi):
+    # checked before the cell counts are cast, which would warn and bin
+    # points far apart along the infinite axis into one cell
+    with pytest.raises(ValueError, match="finite"):
+        Mesh(lo, hi, 0.1)
+
+
 def test_mesh_rejects_degenerate_box():
     with pytest.raises(ValueError, match="extent"):
         Mesh([0.0, 0.0], [1.0, 0.0], 0.25)
@@ -114,7 +126,7 @@ def test_discretize_conserves_mass_per_cell(points, edge, subdivisions):
     weights = np.array([w for _, _, w in points])
     projectors = tangents[:, :, None] * tangents[:, None, :]
     sample = WeightedSample(positions, projectors, weights, 1)
-    mesh = Mesh.covering(positions, edge, pad=0.01)
+    mesh = Mesh(positions.min(0) - 0.01, positions.max(0) + 0.01, edge)
     vol = discretize(sample, mesh, subdivisions=subdivisions)
     assert vol.mass_total() == pytest.approx(weights.sum(), rel=1e-12)
     assert vol.mass_apply(lambda x: np.ones(len(x))) == pytest.approx(

@@ -33,6 +33,24 @@ def test_extinct_time_rejected():
         FlowTrajectory(flow, 0.0, 0.6, 4, 64)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ShrinkingCircle(np.nan), "radius must be positive and finite"),
+        (lambda: ShrinkingSphere(np.inf), "radius must be positive and finite"),
+        (lambda: ShrinkingCircle(1.0, (np.nan, 0.0)), "center must be finite"),
+        (lambda: ShrinkingSphere(1.0, (0.0, 0.0)), r"point in R\^3"),
+        (lambda: AngenentOvalFlow(-np.inf), "negative and finite"),
+        (lambda: AngenentOvalFlow(np.nan), "negative and finite"),
+    ],
+    ids=["circle-radius", "sphere-radius", "circle-center", "sphere-center",
+         "oval-inf", "oval-nan"],
+)
+def test_non_finite_flow_parameters_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_trajectory_masses_track_radius():
     flow = ShrinkingCircle(1.0)
     traj = flow.trajectory(0.0, 0.125, panels=8, resolution=128)

@@ -67,6 +67,30 @@ def test_wrong_length_center_rejected(make, n):
             make((0.0,) * length)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Circle(1.0, (np.nan, 0.0)), "center must be finite"),
+        (lambda: Sphere(1.0, (0.0, np.inf, 0.0)), "center must be finite"),
+        (lambda: Circle(np.inf), "radius must be positive and finite"),
+        (lambda: Circle(np.nan), "radius must be positive and finite"),
+        (lambda: Sphere(np.nan), "radius must be positive and finite"),
+        (lambda: Ellipse(np.nan, 1.0), "semi-axes must be positive"),
+        (lambda: Ellipse(1.0, np.inf), "semi-axes must be positive"),
+        (lambda: Torus(np.inf, 0.5), "minor_radius < major_radius < inf"),
+        (lambda: Torus(2.0, np.nan), "minor_radius < major_radius < inf"),
+        (lambda: AngenentOval(-np.inf), "finite t < 0"),
+        (lambda: AngenentOval(np.nan), "finite t < 0"),
+    ],
+    ids=["circle-center", "sphere-center", "circle-inf", "circle-nan",
+         "sphere-nan", "ellipse-a", "ellipse-b", "torus-major",
+         "torus-minor", "oval-inf", "oval-nan"],
+)
+def test_non_finite_parameters_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_resolution_floor():
     with pytest.raises(ValueError, match="at least 8"):
         Circle().sample(4)

@@ -107,37 +107,115 @@ def test_low_exponent_rejected():
         PolynomialProfile(2)
 
 
+# The superseded checks of KernelPair, kept as the oracle of the closed-form
+# rule: grid probes of positivity and of smooth vanishing at r = 1, and a
+# least-squares fit of xi to -r rho'(r) / n for naturalness.
+_ORACLE_GRID = np.linspace(0.0, 1.0, 4096)
+
+
+def _oracle_verdict(rho, xi, n):
+    """None if the probes reject the pair, else whether it is natural."""
+    g = _ORACLE_GRID
+    rv, xv = rho(g), xi(g)
+    edge, near = 1.0 - 1e-9, 1.0 - 1e-6
+    if (np.any(rv < 0) or np.any(xv < 0) or np.any(xv[1:-1] <= 0)
+            or abs(float(rho(edge))) > 1e-6 or abs(float(xi(edge))) > 1e-6
+            or abs(float(rho.second_derivative(near))) > 1e-2
+            or abs(float(xi.derivative(near))) > 1e-2
+            or abs(float(rho.derivative(0.0))) > 1e-12):
+        return None
+    v = -g * rho.derivative(g) / n
+    lam = float(v @ xv) / float(xv @ xv)
+    return bool(np.max(np.abs(v - lam * xv))
+                <= 1e-12 * max(1.0, float(np.abs(v).max())))
+
+
+def _closed_form_verdict(rho, xi, n, d):
+    try:
+        return KernelPair(rho, xi, n, d).natural
+    except ValueError:
+        return None
+
+
+def _candidate_xis(rho, n):
+    k = rho.b
+    return [
+        PolynomialProfile._factored(c, a, b)
+        for c, a, b in [(2.0 * k / n, 1, k - 1), (1.0, 0, k - 1),
+                        (0.3, 1, k - 1), (1.0, 1, k), (1.0, 2, k - 1),
+                        (1.0, 1, k - 2), (1.0, 1, 1), (1.0, 1, 0)]
+    ]
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("exponent", [3, 4, 5, 6, 7, 8])
+def test_closed_form_rule_agrees_with_grid_oracle(n, d, exponent):
+    # raw and normalized natural and mismatched pairs, and raw pairs of
+    # rho = c q^a (1 - q)^k against xi of other exponents
+    rho = PolynomialProfile(exponent)
+    mismatched = PolynomialProfile._factored(1.0, 0, exponent - 1)
+    pairs = []
+    for raw in (natural_pair_from_rho(rho, n, d),
+                KernelPair(rho, mismatched, n, d)):
+        norm = raw.normalized()
+        pairs += [(raw.rho, raw.xi), (norm.rho, norm.xi)]
+    for c, a in [(1.0, 0), (2.5, 0), (1.0, 1), (1.0, 2)]:
+        rho = PolynomialProfile._factored(c, a, exponent)
+        pairs += [(rho, xi) for xi in _candidate_xis(rho, n)]
+    for b in (0, 1, 2):
+        rho = PolynomialProfile._factored(1.0, 0, b)
+        pairs.append((rho, PolynomialProfile._factored(1.0, 1, 2)))
+    verdicts = set()
+    for rho, xi in pairs:
+        verdict = _oracle_verdict(rho, xi, n)
+        assert _closed_form_verdict(rho, xi, n, d) == verdict, (
+            (rho.c, rho.a, rho.b), (xi.c, xi.a, xi.b))
+        verdicts.add(verdict)
+    assert verdicts == {None, True, False}
+
+
 def test_nonvanishing_profile_rejected():
-    class Flat:
-        def __call__(self, r):
-            return np.ones_like(np.asarray(r, dtype=float))
-
-        def derivative(self, r):
-            return np.zeros_like(np.asarray(r, dtype=float))
-
-        def second_derivative(self, r):
-            return np.zeros_like(np.asarray(r, dtype=float))
-
-    with pytest.raises(ValueError, match="vanish at r = 1"):
-        KernelPair(Flat(), default_kernel_pair(2, 1).xi, 2, 1)
+    # (1 - r^2)^0 is the indicator of the unit ball
+    flat = PolynomialProfile._factored(1.0, 0, 0)
+    with pytest.raises(ValueError, match="C\\^2"):
+        KernelPair(flat, default_kernel_pair(2, 1).xi, 2, 1)
 
 
-def test_rho_with_sloped_origin_rejected():
+def test_non_polynomial_profile_rejected():
     class Tent:
         def __call__(self, r):
             r = np.asarray(r, dtype=float)
             return np.where(r < 1, (1.0 - r) ** 4, 0.0)
 
-        def derivative(self, r):
-            r = np.asarray(r, dtype=float)
-            return np.where(r < 1, -4.0 * (1.0 - r) ** 3, 0.0)
+    good = default_kernel_pair(2, 1)
+    for rho, xi in ((Tent(), good.xi), (good.rho, Tent())):
+        with pytest.raises(TypeError, match="PolynomialProfile"):
+            KernelPair(rho, xi, 2, 1)
 
-        def second_derivative(self, r):
-            r = np.asarray(r, dtype=float)
-            return np.where(r < 1, 12.0 * (1.0 - r) ** 2, 0.0)
 
-    with pytest.raises(ValueError, match="rho'\\(0\\)"):
-        KernelPair(Tent(), default_kernel_pair(2, 1).xi, 2, 1)
+@pytest.mark.parametrize("b", [1, 2])  # b = 0 is the flat profile above
+def test_rho_not_c2_at_the_boundary_rejected(b):
+    rho = PolynomialProfile._factored(1.0, 0, b)
+    xi = PolynomialProfile._factored(1.0, 1, 3)
+    with pytest.raises(ValueError, match="rho must be C\\^2"):
+        KernelPair(rho, xi, 2, 1)
+
+
+@pytest.mark.parametrize("b", [0, 1])
+def test_xi_not_c1_at_the_boundary_rejected(b):
+    xi = PolynomialProfile._factored(1.0, 1, b)
+    with pytest.raises(ValueError, match="xi must be C\\^1"):
+        KernelPair(PolynomialProfile(4), xi, 2, 1)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("which", ["rho", "xi"])
+def test_constant_not_positive_and_finite_rejected(c, which):
+    pair = default_kernel_pair(2, 1)
+    profiles = {"rho": pair.rho, "xi": pair.xi}
+    profiles[which] = profiles[which].scaled(c)
+    with pytest.raises(ValueError, match="positive finite constant"):
+        KernelPair(profiles["rho"], profiles["xi"], 2, 1)
 
 
 def test_mismatched_pair_flagged_non_natural():

@@ -19,7 +19,10 @@ better in at least nine of ten pairs and the gap between the medians
 exceeds the interquartile range of the parent's runs. Every other
 end-to-end metric is held to its ``bound`` in the change's BENCHMARK.json:
 the change's median may be worse than the parent's by at most that
-fraction. The JSON is rewritten after every pair, so an interrupted run
+fraction. Such a verdict is resolved only when the parent's interquartile
+range is at most that fraction of its median, or every change run reads
+lower than every parent run; the payload's ``unresolved`` lists the
+workload/metric pairs that are not. The JSON is rewritten after every pair, so an interrupted run
 keeps the pairs it finished. ``--trace-pairs N`` adds N alternated pairs of
 ``--trace 1`` runs and records their per-layer metrics.
 """
@@ -88,9 +91,21 @@ def claim_verdict(comparison):
 
 def bound_verdict(comparison, bound):
     """Whether the change's median stays within ``bound`` (a fraction of
-    the parent's median) above the parent's."""
+    the parent's median) above the parent's, and whether the runs resolve
+    that: the parent's spread is within the bound, or every change run
+    reads lower than every parent run."""
     worse = comparison["median_change_relative"]
-    return {"bound": bound, "worse_relative": worse, "holds": worse <= bound}
+    parent = comparison["parent"]
+    resolved = (comparison["parent_iqr"] <= bound * parent["median"]
+                or comparison["every_change_run_below_every_parent_run"])
+    return {"bound": bound, "worse_relative": worse, "holds": worse <= bound,
+            "resolved": bool(resolved)}
+
+
+def unresolved(verdicts):
+    """The [workload, metric] pairs of the bound verdicts not resolved."""
+    return [[v["workload"], v["metric"]] for v in verdicts
+            if not v.get("resolved", True)]
 
 
 def summarize(records, spec, claims):
@@ -219,6 +234,7 @@ def main(argv=None):
         payload["final"]["workloads"] = workloads
         payload["verdicts"] = verdicts
         payload["all_hold"] = all(v["holds"] for v in verdicts)
+        payload["unresolved"] = unresolved(verdicts)
         args.out.write_text(json.dumps(payload, indent=1) + "\n")
     if args.trace_pairs:
         traced = {name: {"parent": [], "change": []} for name in names}
