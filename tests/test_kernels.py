@@ -137,8 +137,7 @@ def _closed_form_verdict(rho, xi, n, d):
         return None
 
 
-def _candidate_xis(rho, n):
-    k = rho.b
+def _candidate_xis(k, n):
     return [
         PolynomialProfile._factored(c, a, b)
         for c, a, b in [(2.0 * k / n, 1, k - 1), (1.0, 0, k - 1),
@@ -161,7 +160,7 @@ def test_closed_form_rule_agrees_with_grid_oracle(n, d, exponent):
         pairs += [(raw.rho, raw.xi), (norm.rho, norm.xi)]
     for c, a in [(1.0, 0), (2.5, 0), (1.0, 1), (1.0, 2)]:
         rho = PolynomialProfile._factored(c, a, exponent)
-        pairs += [(rho, xi) for xi in _candidate_xis(rho, n)]
+        pairs += [(rho, xi) for xi in _candidate_xis(exponent, n)]
     for b in (0, 1, 2):
         rho = PolynomialProfile._factored(1.0, 0, b)
         pairs.append((rho, PolynomialProfile._factored(1.0, 1, 2)))

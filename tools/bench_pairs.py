@@ -22,9 +22,10 @@ the change's median may be worse than the parent's by at most that
 fraction. Such a verdict is resolved only when the parent's interquartile
 range is at most that fraction of its median, or every change run reads
 lower than every parent run; the payload's ``unresolved`` lists the
-workload/metric pairs that are not. The JSON is rewritten after every pair, so an interrupted run
-keeps the pairs it finished. ``--trace-pairs N`` adds N alternated pairs of
-``--trace 1`` runs and records their per-layer metrics.
+workload/metric pairs that are not. The JSON is rewritten after every
+pair, so an interrupted run keeps the pairs it finished. ``--trace-pairs
+N`` adds N alternated pairs of ``--trace 1`` runs and records their
+per-layer metrics.
 """
 
 from __future__ import annotations
@@ -95,11 +96,11 @@ def bound_verdict(comparison, bound):
     that: the parent's spread is within the bound, or every change run
     reads lower than every parent run."""
     worse = comparison["median_change_relative"]
-    parent = comparison["parent"]
-    resolved = (comparison["parent_iqr"] <= bound * parent["median"]
-                or comparison["every_change_run_below_every_parent_run"])
+    resolved = (
+        comparison["parent_iqr"] <= bound * comparison["parent"]["median"]
+        or comparison["every_change_run_below_every_parent_run"])
     return {"bound": bound, "worse_relative": worse, "holds": worse <= bound,
-            "resolved": bool(resolved)}
+            "resolved": resolved}
 
 
 def unresolved(verdicts):
