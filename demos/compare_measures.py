@@ -46,13 +46,13 @@ print(f"sampled vs binned circle: {d:.6f} "
       f"(bound {vol.h * vol.mass_total():.6f})")
 
 # ball masses on the circle: length of the chord-r arc is 4 asin(r/2)
-v = SampledManifoldVarifold.from_shape(circle, 4096)
+v = SampledManifoldVarifold(circle.sample(4096))
 print("circle ball-mass ratios (exact 4 asin(r/2) / r):")
 for _, r, ball, ratio in ahlfors_scan(v, 1, [0.25, 1.0], max_probes=1):
     print(f"  r={r:4.2f}: mass={ball:.6f} ratio={ratio:.6f} "
           f"exact={4 * np.arcsin(r / 2) / r:.6f}")
 
-vs = SampledManifoldVarifold.from_shape(Sphere(), 128)
+vs = SampledManifoldVarifold(Sphere().sample(128))
 rows = ahlfors_scan(vs, 2, [0.25, 0.5, 1.0], max_probes=8)
 print(f"sphere: worst two-sided ratio {max(r[3] for r in rows):.4f} "
       f"(caps through a ball of radius r have area pi r^2)")

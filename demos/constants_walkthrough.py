@@ -25,7 +25,7 @@ from varmcf.brakke import (
 circle = Circle()
 pair = default_kernel_pair(2, 1)
 
-v = SampledManifoldVarifold.from_shape(circle, 4096)
+v = SampledManifoldVarifold(circle.sample(4096))
 # the largest two-sided ball-mass ratio over the scan
 c0 = max(row[3] for row in ahlfors_scan(v, 1, [0.1, 0.25, 0.5, 1.0]))
 c1, _ = measure_curvature_consistency(

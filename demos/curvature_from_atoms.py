@@ -16,7 +16,7 @@ from varmcf import (
     default_kernel_pair,
 )
 
-circle = SampledManifoldVarifold.from_shape(Circle(), 16384)
+circle = SampledManifoldVarifold(Circle().sample(16384))
 pair2 = default_kernel_pair(2, 1)
 probes = Circle().sample(16).positions
 
@@ -27,7 +27,7 @@ for eps in (0.4, 0.2, 0.1, 0.05):
     err = float(np.max(np.linalg.norm(h_est + probes, axis=1)))
     print(f"  {eps:4.2f}   {err:12.3e}      {err / eps:8.5f}")
 
-sphere = SampledManifoldVarifold.from_shape(Sphere(), 192)
+sphere = SampledManifoldVarifold(Sphere().sample(192))
 pair3 = default_kernel_pair(3, 2)
 probes3 = Sphere().sample(8).positions
 

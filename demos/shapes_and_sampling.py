@@ -25,7 +25,7 @@ class SqueezeField:
 
 
 def check(shape, resolution, field):
-    v = SampledManifoldVarifold.from_shape(shape, resolution)
+    v = SampledManifoldVarifold(shape.sample(resolution))
     sample = shape.sample(resolution)
     h_vec = shape.mean_curvature(sample.positions)
     lhs = v.first_variation(field)
@@ -46,7 +46,7 @@ check(Sphere(), 96, field3)
 check(Torus(), 128, field3)
 
 # identity field: divergence along a d-plane is d, so deltaV = d * mass
-v = SampledManifoldVarifold.from_shape(Circle(), 4096)
+v = SampledManifoldVarifold(Circle().sample(4096))
 identity = SqueezeField(np.eye(2))
 print(f"identity field on the circle: {v.first_variation(identity):.8f} "
       f"vs d*mass = {v.mass_total():.8f}")

@@ -326,7 +326,7 @@ def measure_curvature_consistency(shape, resolution, pair, epsilons,
     Returns (estimate, rows) where rows are (eps, max error) pairs over
     probe points on the shape and the estimate is max(error / eps).
     """
-    v = SampledManifoldVarifold.from_shape(shape, resolution)
+    v = SampledManifoldVarifold(shape.sample(resolution))
     probes = shape.sample(probe_count).positions
     h_true = shape.mean_curvature(probes)
     rows = []

@@ -46,10 +46,13 @@ class Mesh:
         edge = float(edge)
         if not (edge > 0 and math.isfinite(edge)):
             raise ValueError("edge must be positive and finite")
-        # ceil with slack so an exact integer extent is not pushed up a cell
-        counts = np.maximum(
-            1, np.ceil((hi - lo) / edge - 1e-12).astype(np.int64)
-        )
+        # ceil with slack so an exact integer extent is not pushed up a cell;
+        # a finite box can still overflow the extent or the count to inf
+        with np.errstate(over="ignore"):
+            counts = np.ceil((hi - lo) / edge - 1e-12)
+        if not np.all(counts < 2.0**63):
+            raise ValueError("cell counts per axis overflow int64")
+        counts = np.maximum(1, counts.astype(np.int64))
         self.origin = lo
         self.upper = hi
         self.edge = edge

@@ -370,7 +370,7 @@ def _ahlfors_scan(cfg):
         raise ConfigError("max_probes must be at least 1")
 
     def compute():
-        v = SampledManifoldVarifold.from_shape(shape, resolution)
+        v = SampledManifoldVarifold(shape.sample(resolution))
         scan = ahlfors_scan(v, shape.d, radii, max_probes=max_probes)
         rows = []
         for probe, radius, ball, ratio in scan:

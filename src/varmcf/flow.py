@@ -50,10 +50,10 @@ class _Shrinker(_Flow):
 
     def radius_at(self, t):
         t = float(t)
-        if t < 0:
+        if not t >= 0:
             raise ValueError("time must be nonnegative")
         sq = self.initial_radius**2 - 2.0 * self.d * t
-        if sq <= 0:
+        if not sq > 0:
             raise ValueError(
                 f"flow is extinct at t = {self.extinction_time:g}; "
                 f"requested t = {t:g}"

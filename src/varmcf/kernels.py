@@ -194,7 +194,7 @@ class KernelPair:
 
     def beta(self, c0):
         """min of xi over [c0^(-2/d) / 4, 1/2] by dense sampling."""
-        if c0 <= 1.0:
+        if not c0 > 1.0:
             raise ValueError("c0 must exceed 1")
         left = c0 ** (-2.0 / self.d) / 4.0
         grid = np.linspace(left, 0.5, _GRID_SIZE)

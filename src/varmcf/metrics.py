@@ -53,6 +53,8 @@ import sys
 
 import numpy as np
 
+from .varifold import _frozen_atoms
+
 __all__ = [
     "AtomicMeasure",
     "atomize",
@@ -98,14 +100,7 @@ class AtomicMeasure:
             raise ValueError("positions must be (N, n)")
         if masses.shape != (len(positions),):
             raise ValueError("masses must be (N,)")
-        if np.any(masses < 0):
-            raise ValueError("masses must be nonnegative")
-        if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(masses))):
-            raise ValueError("non-finite values in measure data")
-        keep = masses > 0
-        positions, masses = positions[keep], masses[keep]
-        for arr in (positions, masses):
-            arr.flags.writeable = False
+        masses, positions = _frozen_atoms(masses, positions)
         self.positions = positions
         self.masses = masses
 

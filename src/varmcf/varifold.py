@@ -44,6 +44,33 @@ def _validate_projectors(proj, d):
         raise ValueError(f"projector traces must equal {d} within 1e-10")
 
 
+def _frozen_atoms(masses, *arrays):
+    """Check the masses and per-atom arrays of a set of atoms; freeze them.
+
+    Raises ValueError on a non-finite value or a negative mass, and drops
+    the zero-mass atoms. An array that loses no atom and is read-only and
+    owns its data is kept: only switching its flag back on could write it,
+    as with a frozen copy. Every other array is copied, so that a caller's
+    writable array stays writable. Returns read-only (masses, *arrays).
+    """
+    arrays = (masses,) + arrays
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError("non-finite values in atom data")
+    if np.any(masses < 0):
+        raise ValueError("masses must be nonnegative")
+    keep = masses > 0
+    whole = keep.all()
+    arrays = tuple(
+        a[keep] if not whole
+        else a if not a.flags.writeable and a.flags.owndata
+        else a.copy()
+        for a in arrays
+    )
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _plane_dim(projectors):
     """Dimension of the planes of rank-d projectors: the first one's trace."""
     if len(projectors) == 0:
@@ -108,8 +135,8 @@ class _WeightedAtoms:
         return float(np.sum(masses * div))
 
 
-class _AtomicVarifold(_WeightedAtoms):
-    """Shared implementation for varifolds supported on finitely many atoms."""
+class PointCloudVarifold(_WeightedAtoms):
+    """Varifold supported on an unstructured weighted point cloud."""
 
     def __init__(self, positions, projectors, masses, dim=None):
         positions = np.ascontiguousarray(positions, dtype=float)
@@ -122,28 +149,12 @@ class _AtomicVarifold(_WeightedAtoms):
             raise ValueError("projectors must be (N, n, n)")
         if masses.shape != (len(positions),):
             raise ValueError("masses must be (N,)")
-        if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(masses))
-                and np.all(np.isfinite(projectors))):
-            raise ValueError("non-finite values in varifold data")
-        if np.any(masses < 0):
-            raise ValueError("masses must be nonnegative")
-        # An array that is read-only and owns its data is kept as it is:
-        # it can be written only by switching its flag back on, exactly like
-        # the frozen copy that would replace it. Every other array is
-        # copied, so that freezing it leaves the caller's array writable.
-        keep = masses > 0
-        whole = keep.all()
-        positions, projectors, masses = (
-            a[keep] if not whole
-            else a if not a.flags.writeable and a.flags.owndata
-            else a.copy()
-            for a in (positions, projectors, masses)
+        masses, positions, projectors = _frozen_atoms(
+            masses, positions, projectors
         )
         if dim is None:
             dim = _plane_dim(projectors)
         _validate_projectors(projectors, dim)
-        for arr in (positions, projectors, masses):
-            arr.flags.writeable = False
         self.positions = positions
         self.projectors = projectors
         self.masses = masses
@@ -162,21 +173,13 @@ class _AtomicVarifold(_WeightedAtoms):
         return self.positions, self.projectors, self.masses
 
 
-class PointCloudVarifold(_AtomicVarifold):
-    """Varifold supported on an unstructured weighted point cloud."""
-
-
-class SampledManifoldVarifold(_AtomicVarifold):
+class SampledManifoldVarifold(PointCloudVarifold):
     """Varifold induced by a quadrature sample of an analytic shape."""
 
     def __init__(self, sample):
         super().__init__(
             sample.positions, sample.projectors, sample.weights, dim=sample.dim
         )
-
-    @classmethod
-    def from_shape(cls, shape, resolution):
-        return cls(shape.sample(resolution))
 
 
 class VolumetricVarifold(_WeightedAtoms):
@@ -208,23 +211,20 @@ class VolumetricVarifold(_WeightedAtoms):
         m, n = cell_indices.shape
         if masses.shape != (m,) or projectors.shape != (m, n, n):
             raise ValueError("inconsistent cell array shapes")
-        if np.any(masses < 0):
-            raise ValueError("cell masses must be nonnegative")
-        if not (np.all(np.isfinite(masses)) and np.all(np.isfinite(projectors))):
-            raise ValueError("non-finite values in cell data")
-        keep = masses > 0
-        cell_indices, masses, projectors = (
-            cell_indices[keep], masses[keep], projectors[keep]
-        )
         # Normalize storage order so evaluation is independent of input order;
         # rows that strictly increase, as discretize's do, need no sort.
-        if not np.all(_row_steps(cell_indices) > 0):
+        ordered = np.all(_row_steps(cell_indices) > 0)
+        if not ordered:
             order = np.lexsort(cell_indices.T[::-1])
             cell_indices, masses, projectors = (
                 cell_indices[order], masses[order], projectors[order]
             )
-            if np.any(_row_steps(cell_indices) == 0):
-                raise ValueError("duplicate cell indices")
+        masses, cell_indices, projectors = _frozen_atoms(
+            masses, cell_indices, projectors
+        )
+        # only cells that keep their mass may not share an index
+        if not ordered and np.any(_row_steps(cell_indices) == 0):
+            raise ValueError("duplicate cell indices")
         if len(masses) == 0:
             raise ValueError("volumetric varifold has no cells")
         d = _plane_dim(projectors)
@@ -232,8 +232,6 @@ class VolumetricVarifold(_WeightedAtoms):
         subdivisions = int(subdivisions)
         if subdivisions < 1:
             raise ValueError("subdivisions must be >= 1")
-        for arr in (cell_indices, masses, projectors):
-            arr.flags.writeable = False
         self.mesh = mesh
         self.cell_indices = cell_indices
         self.masses = masses

@@ -57,7 +57,7 @@ def _fitted_c1():
 
 def _measured_c0():
     if "c0" not in _SHARED:
-        v = SampledManifoldVarifold.from_shape(Circle(), 4096)
+        v = SampledManifoldVarifold(Circle().sample(4096))
         rows = ahlfors_scan(v, 1, [0.1, 0.25, 0.5, 1.0], max_probes=64)
         _SHARED["c0"] = max(row[3] for row in rows)
     return _SHARED["c0"]
@@ -264,7 +264,7 @@ def test_criterion_06_discretization_stability(capsys):
 def test_criterion_07_ahlfors_regularity(capsys):
     t0 = time.perf_counter()
     circle_est = _measured_c0()
-    sphere = SampledManifoldVarifold.from_shape(Sphere(), 128)
+    sphere = SampledManifoldVarifold(Sphere().sample(128))
     rows = ahlfors_scan(sphere, 2, [0.25, 0.5, 1.0], max_probes=16)
     sphere_est = max(row[3] for row in rows)
     ok = 2.0 <= circle_est <= 2.2 and np.isfinite(sphere_est) \

@@ -121,7 +121,7 @@ def _sphere_case():
     probes = np.vstack([
         Sphere(1.0).sample(8).positions[::4], [[3.0, 3.0, 3.0]]
     ])
-    sphere = SampledManifoldVarifold.from_shape(Sphere(1.0), 32)
+    sphere = SampledManifoldVarifold(Sphere(1.0).sample(32))
     return sphere, default_kernel_pair(3, 2), 0.3, probes
 
 
@@ -309,7 +309,7 @@ def test_chunking_does_not_change_sums(monkeypatch, make_case):
 
 def test_circle_curvature_close_to_analytic():
     shape = Circle(1.0)
-    v = SampledManifoldVarifold.from_shape(shape, 16384)
+    v = SampledManifoldVarifold(shape.sample(16384))
     pair = default_kernel_pair(2, 1)
     query = CurvatureQuery(pair, epsilon=0.05)
     probes = shape.sample(16).positions
@@ -324,7 +324,7 @@ def test_circle_curvature_close_to_analytic():
 
 def test_sphere_curvature_close_to_analytic():
     shape = Sphere(1.0)
-    v = SampledManifoldVarifold.from_shape(shape, 128)
+    v = SampledManifoldVarifold(shape.sample(128))
     query = CurvatureQuery(default_kernel_pair(3, 2), epsilon=0.1)
     probes = shape.sample(8).positions
     h_approx = approx_mean_curvature(v, query, probes)
@@ -335,7 +335,7 @@ def test_sphere_curvature_close_to_analytic():
 def test_unnormalized_pair_gives_same_curvature():
     # The constant ratio in the quotient removes any profile scaling.
     shape = Circle(1.0)
-    v = SampledManifoldVarifold.from_shape(shape, 4096)
+    v = SampledManifoldVarifold(shape.sample(4096))
     probes = shape.sample(8).positions
     raw = natural_pair_from_rho(PolynomialProfile(4), 2, 1)
     h_raw = approx_mean_curvature(v, CurvatureQuery(raw, 0.1), probes)
@@ -364,7 +364,7 @@ def test_hashed_sums_match_brute_force():
 
 def _sampled_circle_case():
     shape = Circle(1.0)
-    v = SampledManifoldVarifold.from_shape(shape, 2048)
+    v = SampledManifoldVarifold(shape.sample(2048))
     return v, default_kernel_pair(2, 1), 0.15, shape.sample(64).positions
 
 
@@ -372,7 +372,7 @@ def _off_lattice_sphere_case():
     rng = np.random.default_rng(12)
     probes = rng.standard_normal((200, 3))
     probes /= np.linalg.norm(probes, axis=1)[:, None]
-    sphere = SampledManifoldVarifold.from_shape(Sphere(1.0), 32)
+    sphere = SampledManifoldVarifold(Sphere(1.0).sample(32))
     return sphere, default_kernel_pair(3, 2), 0.3, probes
 
 
@@ -911,7 +911,7 @@ def test_volumetric_curvature_tracks_sample_curvature():
 
 
 def test_far_point_raises_with_diagnostics():
-    v = SampledManifoldVarifold.from_shape(Circle(1.0), 256)
+    v = SampledManifoldVarifold(Circle(1.0).sample(256))
     query = CurvatureQuery(default_kernel_pair(2, 1), 0.1)
     with pytest.raises(DenominatorTooSmall) as err:
         approx_mean_curvature(v, query, np.array([10.0, 10.0]))
@@ -921,7 +921,7 @@ def test_far_point_raises_with_diagnostics():
 
 def test_curvature_field_records_failures():
     shape = Circle(1.0)
-    v = SampledManifoldVarifold.from_shape(shape, 256)
+    v = SampledManifoldVarifold(shape.sample(256))
     query = CurvatureQuery(default_kernel_pair(2, 1), 0.1)
     probes = np.array([[1.0, 0.0], [10.0, 10.0], [0.0, -1.0]])
     field = curvature_field(v, query, probes)
@@ -932,7 +932,7 @@ def test_curvature_field_records_failures():
 
 
 def test_probe_coinciding_with_atom_is_finite():
-    v = SampledManifoldVarifold.from_shape(Circle(1.0), 512)
+    v = SampledManifoldVarifold(Circle(1.0).sample(512))
     query = CurvatureQuery(default_kernel_pair(2, 1), 0.1)
     h = approx_mean_curvature(v, query, v.positions[0])
     assert np.all(np.isfinite(h))
@@ -956,7 +956,7 @@ def test_per_pair_call_holds_a_bounded_transient():
     rng = np.random.default_rng(1)
     probes = rng.standard_normal((2048, 3))
     probes /= np.linalg.norm(probes, axis=1)[:, None]
-    sphere = SampledManifoldVarifold.from_shape(Sphere(1.0), 128)
+    sphere = SampledManifoldVarifold(Sphere(1.0).sample(128))
     assert len(sphere) == 32_768
     query = CurvatureQuery(default_kernel_pair(3, 2), 0.2)
     curvature_field(sphere, query, probes)  # the caches and scipy's import
@@ -974,7 +974,7 @@ def test_per_pair_call_holds_a_bounded_transient():
 def test_large_batch_performance():
     rng = np.random.default_rng(77)
     shape = Circle(1.0)
-    v = SampledManifoldVarifold.from_shape(shape, 4096)
+    v = SampledManifoldVarifold(shape.sample(4096))
     theta = rng.uniform(0.0, 2.0 * np.pi, size=10_000)
     radii = rng.uniform(0.9, 1.1, size=10_000)
     probes = np.stack([radii * np.cos(theta), radii * np.sin(theta)], axis=1)

@@ -78,6 +78,20 @@ def test_mesh_rejects_non_finite_box(lo, hi):
         Mesh(lo, hi, 0.1)
 
 
+@pytest.mark.parametrize("lo, hi, edge", [
+    ([0.0, 0.0], [1e300, 1.0], 1.0),
+    ([-1e308, 0.0], [1e308, 1.0], 1.0),
+    ([0.0, 0.0], [1.0, 1.0], 1e-300),
+    ([0.0, 0.0], [2.0**63, 1.0], 1.0),
+])
+def test_mesh_rejects_cell_counts_beyond_int64(lo, hi, edge):
+    # a finite box whose count does not fit int64 would warn on the cast
+    # and clamp the count, and cell_keys would return wrapped keys
+    with pytest.raises(ValueError, match="overflow int64"):
+        Mesh(lo, hi, edge)
+    assert Mesh([0.0, 0.0], [2.0**62, 1.0], 1.0).counts[0] == 2**62
+
+
 def test_mesh_rejects_degenerate_box():
     with pytest.raises(ValueError, match="extent"):
         Mesh([0.0, 0.0], [1.0, 0.0], 0.25)

@@ -33,6 +33,12 @@ def test_extinct_time_rejected():
         FlowTrajectory(flow, 0.0, 0.6, 4, 64)
 
 
+def test_radius_at_rejects_nan():
+    # NaN fails both the sign and the extinction test as comparisons
+    with pytest.raises(ValueError, match="nonnegative"):
+        ShrinkingCircle(1.0).radius_at(np.nan)
+
+
 @pytest.mark.parametrize(
     "make, message",
     [

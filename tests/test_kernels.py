@@ -102,6 +102,12 @@ def test_beta_at_reference_ahlfors_constant():
         pair.beta(0.9)
 
 
+def test_beta_rejects_nan():
+    # a NaN c0 fails every comparison, so it would start the grid at NaN
+    with pytest.raises(ValueError, match="exceed 1"):
+        default_kernel_pair(n=2, d=1).beta(np.nan)
+
+
 def test_low_exponent_rejected():
     with pytest.raises(ValueError, match="C\\^2"):
         PolynomialProfile(2)

@@ -466,7 +466,7 @@ def test_ahlfors_circle_matches_arc_length_law():
     # Mass of a ball of radius r around a point of the unit circle is the
     # arc length 4 asin(r/2); the ratio to r peaks at 2pi/3 for r = 1.
     shape = Circle(1.0)
-    v = SampledManifoldVarifold.from_shape(shape, 8192)
+    v = SampledManifoldVarifold(shape.sample(8192))
     for r in (0.1, 0.25, 0.5, 1.0):
         rows = ahlfors_scan(v, d=1, radii=[r], max_probes=4)
         expected = 4.0 * np.arcsin(r / 2.0) / r
@@ -480,7 +480,7 @@ def test_ahlfors_circle_matches_arc_length_law():
 def test_ahlfors_sphere_cap_is_flat():
     # A euclidean ball of radius r cuts a cap of area exactly pi r^2, so
     # the two-sided ratio is pi at every radius.
-    v = SampledManifoldVarifold.from_shape(Sphere(1.0), 96)
+    v = SampledManifoldVarifold(Sphere(1.0).sample(96))
     rows = ahlfors_scan(v, d=2, radii=[0.2, 0.5, 1.0], max_probes=16)
     est = max(row[3] for row in rows)
     # quadrature granularity inflates small-radius ball masses slightly

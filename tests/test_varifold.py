@@ -3,7 +3,7 @@ import pytest
 
 from varmcf.discretization import Mesh, discretize
 from varmcf.geometry import Circle, Sphere
-from varmcf.metrics import atomize
+from varmcf.metrics import AtomicMeasure, atomize
 from varmcf.varifold import (
     PointCloudVarifold,
     SampledManifoldVarifold,
@@ -46,7 +46,7 @@ class TrigField:
 
 
 def _circle_varifold(resolution=512):
-    return SampledManifoldVarifold.from_shape(Circle(1.0), resolution)
+    return SampledManifoldVarifold(Circle(1.0).sample(resolution))
 
 
 def _random_cloud(rng, count=40, n=3, d=2):
@@ -69,7 +69,7 @@ def test_identity_field_gives_dimension_times_mass():
 
 def test_first_variation_matches_curvature_pairing_circle():
     shape = Circle(1.0)
-    v = SampledManifoldVarifold.from_shape(shape, 2048)
+    v = SampledManifoldVarifold(shape.sample(2048))
     field = TrigField()
     lhs = v.first_variation(field)
     h_vals = shape.mean_curvature(v.positions)
@@ -79,7 +79,7 @@ def test_first_variation_matches_curvature_pairing_circle():
 
 def test_first_variation_matches_curvature_pairing_sphere():
     shape = Sphere(1.0)
-    v = SampledManifoldVarifold.from_shape(shape, 64)
+    v = SampledManifoldVarifold(shape.sample(64))
 
     class Field3:
         def __call__(self, points):
@@ -227,6 +227,52 @@ def _tiny_volumetric(subdivisions=2):
     proj = np.broadcast_to(np.diag([1.0, 0.0]), (3, 2, 2)).copy()
     return VolumetricVarifold(mesh, cells, masses, proj,
                               subdivisions=subdivisions)
+
+
+_THREE_POSITIONS = np.array([[0.0, 0.0], [0.0, 1.0], [0.5, 0.0]])
+_THREE_PLANES = np.tile(np.diag([1.0, 0.0]), (3, 1, 1))
+
+
+def _container(kind, masses, data):
+    """A container of three atoms built from ``masses`` and its float
+    array ``data``: positions, or for a volumetric varifold projectors."""
+    if kind is VolumetricVarifold:
+        cells = np.array([[0, 0], [0, 2], [1, 0]])
+        return kind(_StubMesh([0.0, 0.0], 0.5), cells, masses, data)
+    if kind is PointCloudVarifold:
+        return kind(data, _THREE_PLANES, masses)
+    return kind(data, masses)
+
+
+@pytest.mark.parametrize(
+    "kind", [PointCloudVarifold, VolumetricVarifold, AtomicMeasure]
+)
+def test_containers_check_and_freeze_atoms_alike(kind):
+    name = "projectors" if kind is VolumetricVarifold else "positions"
+    data = _THREE_PLANES if name == "projectors" else _THREE_POSITIONS
+    masses = np.array([1.0, 2.0, 0.5])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            _container(kind, np.where([0, 1, 0], bad, masses), data)
+        broken = data.copy()
+        broken.flat[-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _container(kind, masses, broken)
+    with pytest.raises(ValueError, match="nonneg"):
+        _container(kind, -masses, data)
+    # a read-only array that owns its data and loses no atom is kept; a
+    # writable one is copied and stays writable
+    frozen = data.copy()
+    frozen.flags.writeable = False
+    c = _container(kind, masses, frozen)
+    assert getattr(c, name) is frozen
+    assert not np.shares_memory(c.masses, masses)
+    assert masses.flags.writeable and not c.masses.flags.writeable
+    np.testing.assert_array_equal(c.masses, masses)
+    # dropping a zero-mass atom copies every array
+    c = _container(kind, np.array([1.0, 0.0, 0.5]), frozen)
+    assert len(c) == 2 and not np.shares_memory(getattr(c, name), frozen)
+    assert not getattr(c, name).flags.writeable
 
 
 def test_volumetric_mass_apply_constant():
