@@ -222,7 +222,7 @@ class VolumetricVarifold(_WeightedAtoms):
         masses, cell_indices, projectors = _frozen_atoms(
             masses, cell_indices, projectors
         )
-        # only cells that keep their mass may not share an index
+        # zero-mass cells are dropped before duplicates are looked for
         if not ordered and np.any(_row_steps(cell_indices) == 0):
             raise ValueError("duplicate cell indices")
         if len(masses) == 0:

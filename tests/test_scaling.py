@@ -6,8 +6,8 @@ follows exactly when lam is a power of two, since multiplying by it only
 shifts binary exponents: d-dimensional masses and the residual scale by
 lam^d, the curvature and transport terms by lam^(d - 2), the time weights
 by lam^2, and binning, failures and denominator margins do not change.
-A misplaced power of eps, h or mass, or any absolute length in the
-pipeline, breaks one of these equalities.
+A misplaced power of eps, h or mass, or an absolute length that these
+inputs reach (a pad on the curvature reach, say), breaks one of them.
 """
 
 import numpy as np
